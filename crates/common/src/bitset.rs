@@ -251,54 +251,6 @@ impl FixedBitSet {
         (sum, cnt)
     }
 
-    /// 4-way-accumulator variant of [`FixedBitSet::difference_count_sum`]
-    /// for the mid-coverage regime, where surviving bits are dense enough
-    /// that the strict kernel's single serial `sum += vals[i]` dependency
-    /// chain dominates the word loop.
-    ///
-    /// Each surviving bit is routed to one of four independent partial
-    /// sums by its word index (`wi & 3`), and the partials are combined
-    /// pairwise at the end: `(s0 + s1) + (s2 + s3)`. The count is exact
-    /// (popcount is order-free); the **sum is not bit-identical** to the
-    /// strict kernel — reassociating IEEE-754 addition changes rounding.
-    ///
-    /// # Tolerance contract
-    ///
-    /// The relaxed sum differs from the strict sum by at most the usual
-    /// reassociation bound `~n · ε · Σ|vals[i]|` over the `n` surviving
-    /// bits. The differential suite (see `relaxed_kernel_tolerance` in
-    /// this module's tests) holds it to a relative error of `1e-9` against
-    /// the strict kernel on adversarially mixed-magnitude values —
-    /// orders of magnitude tighter than the bound, documented as the
-    /// contract callers may rely on. Never use this kernel where the
-    /// repo's byte-identity discipline applies (greedy descents, plane
-    /// builds, stored solutions); it exists for throughput-only paths
-    /// that tolerate `≤1e-9` relative slack and re-verify downstream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the capacities differ or `vals` is shorter than `len`.
-    #[cfg(feature = "relaxed-kernels")]
-    pub fn difference_count_sum_relaxed(&self, other: &FixedBitSet, vals: &[f64]) -> (f64, u32) {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        assert!(vals.len() >= self.len, "vals shorter than bitset capacity");
-        let mut acc = [0.0f64; 4];
-        let mut cnt = 0u32;
-        for (wi, (&a, &b)) in self.words.iter().zip(&other.words).enumerate() {
-            let mut w = a & !b;
-            if w != 0 {
-                cnt += w.count_ones();
-                let lane = &mut acc[wi & 3];
-                while w != 0 {
-                    let i = wi * 64 + w.trailing_zeros() as usize;
-                    *lane += vals[i];
-                    w &= w - 1;
-                }
-            }
-        }
-        ((acc[0] + acc[1]) + (acc[2] + acc[3]), cnt)
-    }
-
     /// Fused kernel: `(Σ vals[i], count)` over the bits of `self ∪ other`.
     ///
     /// Word-parallel like [`FixedBitSet::difference_count_sum`]. No greedy
@@ -518,58 +470,5 @@ mod tests {
         let b = FixedBitSet::new(0);
         assert!(b.is_empty());
         assert_eq!(b.iter_ones().count(), 0);
-    }
-
-    /// The relaxed kernel's documented tolerance contract: exact count,
-    /// sum within `1e-9` relative of the strict kernel on adversarially
-    /// mixed-magnitude values — including coverage densities from sparse
-    /// to saturated, the regimes the kernel is meant for.
-    #[cfg(feature = "relaxed-kernels")]
-    #[test]
-    fn relaxed_kernel_tolerance() {
-        // Deterministic xorshift — the tolerance must hold on *every*
-        // run, so the inputs are fixed.
-        let mut state = 0x243f_6a88_85a3_08d3u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let n = 50_000;
-        for covered_per_mille in [0u64, 100, 500, 900, 1000] {
-            let mut cov = FixedBitSet::new(n);
-            let mut t = FixedBitSet::new(n);
-            let mut vals = vec![0.0f64; n];
-            for (i, v) in vals.iter_mut().enumerate() {
-                if next() % 10 < 7 {
-                    cov.insert(i);
-                }
-                if next() % 1000 < covered_per_mille {
-                    t.insert(i);
-                }
-                // Mixed magnitudes: tiny and huge addends interleaved is
-                // the worst case for reassociation error.
-                *v = match next() % 4 {
-                    0 => (next() % 1000) as f64 * 1e-9,
-                    1 => (next() % 1000) as f64 * 1e6,
-                    2 => -((next() % 1000) as f64) * 1e3,
-                    _ => (next() % 10_000) as f64 / 16.0,
-                };
-            }
-            let (strict_sum, strict_cnt) = cov.difference_count_sum(&t, &vals);
-            let (relaxed_sum, relaxed_cnt) = cov.difference_count_sum_relaxed(&t, &vals);
-            assert_eq!(
-                strict_cnt, relaxed_cnt,
-                "count is order-free, must be exact"
-            );
-            let scale = strict_sum.abs().max(1.0);
-            assert!(
-                (relaxed_sum - strict_sum).abs() <= 1e-9 * scale,
-                "relaxed sum {relaxed_sum} vs strict {strict_sum} \
-                 (rel err {}) at density {covered_per_mille}",
-                (relaxed_sum - strict_sum).abs() / scale
-            );
-        }
     }
 }

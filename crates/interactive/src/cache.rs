@@ -1,8 +1,7 @@
 //! A small bounded LRU cache with hit/miss/eviction accounting.
 //!
-//! Every cache layer of the exploration engine ([`crate::Explorer`]) and
-//! the query-layer [`crate::QuerySession`] is one of these: a capped map
-//! whose counters feed the per-command
+//! Every cache layer of the exploration engine ([`crate::Explorer`]) is
+//! one of these: a capped map whose counters feed the per-command
 //! [`crate::explore::CacheProvenance`]. Capacities are small (tens of
 //! entries of expensive artifacts), so eviction scans for the
 //! least-recently-used entry instead of maintaining an intrusive list —

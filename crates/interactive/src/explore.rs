@@ -37,7 +37,7 @@ use crate::plot::{DSeries, GuidancePlot};
 use crate::precompute::{PrecomputeConfig, Precomputed};
 use qagview_common::io::{RealIo, RetryPolicy, StoreIo};
 use qagview_common::{QagError, Result, StoreErrorKind};
-use qagview_core::{EvalMode, Solution, SolutionCluster, Summarizer, DEFAULT_POOL_FACTOR};
+use qagview_core::{Solution, SolutionCluster, Summarizer, DEFAULT_POOL_FACTOR};
 use qagview_lattice::{AnswerSet, AnswerSetBuilder, Pattern, TupleId, STAR};
 use qagview_query::{
     bind, group_aggregate_auto, group_aggregate_sampled, parse, BoundQuery, GroupTable,
@@ -869,6 +869,36 @@ impl Explorer {
     /// offline summarization) rather than an interactive session; it
     /// shares the engine's caches, so a following
     /// [`Explorer::open_session`] on the same query is warm.
+    ///
+    /// A query that differs from a cached one only in its `HAVING`
+    /// thresholds, `ORDER BY` direction, or `LIMIT` — a threshold-slider
+    /// tick — is derived from the cached group phase without a rescan:
+    ///
+    /// ```
+    /// use qagview_interactive::Explorer;
+    /// use qagview_storage::{Catalog, Cell, ColumnType, Schema, TableBuilder};
+    ///
+    /// let schema = Schema::from_pairs(&[
+    ///     ("genre", ColumnType::Str),
+    ///     ("rating", ColumnType::Float),
+    /// ]).unwrap();
+    /// let mut b = TableBuilder::new(schema);
+    /// for (g, r) in [("a", 4.0), ("a", 2.0), ("b", 5.0), ("b", 3.0)] {
+    ///     b.push_row(vec![g.into(), Cell::Float(r)]).unwrap();
+    /// }
+    /// let mut catalog = Catalog::new();
+    /// catalog.register("r", b.finish());
+    ///
+    /// let engine = Explorer::new(catalog);
+    /// let base = "SELECT genre, AVG(rating) AS val FROM r GROUP BY genre \
+    ///             HAVING count(*) > 0 ORDER BY val DESC";
+    /// assert_eq!(engine.answer_relation(base).unwrap().len(), 2);
+    /// // Moving the threshold hits the cached group phase: no rescan.
+    /// let strict = "SELECT genre, AVG(rating) AS val FROM r GROUP BY genre \
+    ///               HAVING count(*) > 9 ORDER BY val DESC";
+    /// assert!(engine.answer_relation(strict).unwrap().is_empty());
+    /// assert_eq!(engine.stats().group_phase.hits, 1);
+    /// ```
     pub fn answer_relation(&self, sql: &str) -> Result<Arc<AnswerSet>> {
         let stmt = parse(sql)?;
         let (table_id, table) = self.catalog.require_shared(&stmt.from)?;
@@ -1048,8 +1078,8 @@ impl Explorer {
         let full_bytes = rel_bytes.saturating_add(plane_est);
         let shed_plane = budget.is_some_and(|b| full_bytes > b);
 
-        // Approximate planes may be built with relaxed kernels, so they
-        // must never alias an exact plane — even when the sampled
+        // Approximate planes carry the sampled relation's fidelity, so
+        // they must never alias an exact plane — even when the sampled
         // relation happens to be content-identical to the exact one
         // (small tables, roomy sample budget).
         let plane_fp = if approx {
@@ -1098,16 +1128,6 @@ impl Explorer {
                                     d_min: 0,
                                     d_max: m,
                                     pool_factor: self.cfg.pool_factor,
-                                    // Approximate planes are built over
-                                    // estimates anyway, so they may take
-                                    // the relaxed (reassociated) marginal
-                                    // kernels; byte-identity paths keep
-                                    // the strict delta evaluator.
-                                    eval: if approx {
-                                        EvalMode::Relaxed
-                                    } else {
-                                        EvalMode::Delta
-                                    },
                                     parallel: self.cfg.parallel_planes,
                                     ..Default::default()
                                 },

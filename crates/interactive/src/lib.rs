@@ -20,13 +20,6 @@
 //! exposes the Fig. 2 data series (average value vs. `k`, one curve per
 //! `D`) with knee-point and flat-region detection for the §6.1 visual guide.
 //!
-//! The same incremental philosophy applies one layer down, at the query
-//! that produces the answer relation in the first place:
-//! [`session::QuerySession`] caches the finished group phase of every
-//! query it runs, so moving a `HAVING` threshold (or flipping `ORDER BY`
-//! / `LIMIT`) re-derives `S` in `O(groups)` from the cached group table
-//! instead of rescanning the base relation.
-//!
 //! All of it comes together in [`explore::Explorer`]: an owned,
 //! `Send + Sync` engine that stacks the three cache layers (group phases,
 //! answer relations, parameter planes + summarizers) behind typed
@@ -34,7 +27,13 @@
 //! [`explore::ExploreSession`], the command-driven state machine of the
 //! full interactive loop — every command answers with a refreshed
 //! summary, the Fig. 2 guidance plot, an App. A.7 transition, and cache
-//! provenance.
+//! provenance. The same incremental philosophy applies one layer down,
+//! at the query that produces the answer relation in the first place:
+//! the engine's first layer caches the finished group phase of every
+//! query, so moving a `HAVING` threshold (or flipping `ORDER BY` /
+//! `LIMIT`) re-derives `S` in `O(groups)` instead of rescanning the base
+//! relation ([`explore::Explorer::answer_relation`] serves just that
+//! relation).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -45,7 +44,8 @@ pub mod explore;
 pub mod interval_tree;
 pub mod plot;
 pub mod precompute;
-pub mod session;
+#[cfg(test)]
+mod session;
 pub mod store;
 
 pub use cache::{LayerStats, LruCache};
@@ -62,5 +62,4 @@ pub use interval_tree::IntervalTree;
 pub use plot::{DSeries, GuidancePlot};
 pub use precompute::{DescentEngine, PrecomputeConfig, Precomputed};
 pub use qagview_query::{SampleSpec, SampleStats};
-pub use session::QuerySession;
 pub use store::{GcReport, StoreReader};

@@ -1,162 +1,19 @@
-//! Query sessions with threshold-reusable group tables.
+//! Threshold-slider tests of the query layer.
 //!
 //! The paper's interactive loop (§6) assumes the answer relation `S` can
-//! be re-derived cheaply as the analyst moves the `HAVING` threshold and
-//! re-summarizes. A [`QuerySession`] makes that true at the query layer:
-//! it caches the finished group phase
-//! ([`qagview_query::GroupedResult`]) of every query it runs, keyed by
-//! the typed pair `(TableId, GroupSpec fingerprint)`, so a re-run that
-//! only changes the `HAVING` thresholds, `ORDER BY` direction, or `LIMIT`
-//! — a threshold-slider tick — is answered in `O(groups)` from the cache
-//! instead of rescanning the base table. The cache is a bounded LRU
-//! ([`crate::cache::LruCache`]), so a long-lived session over many
-//! distinct queries cannot grow without bound.
-//!
-//! `QuerySession` is the lightweight, borrow-based entry point for the
-//! query layer alone. The full end-to-end loop — query, summarize,
-//! precompute, drill — lives in the owned, thread-shareable
-//! [`crate::Explorer`].
+//! be re-derived cheaply as the analyst moves the `HAVING` threshold. The
+//! engine's group-phase cache (layer 1 of [`crate::Explorer`]) makes that
+//! true: a query that differs only in its `HAVING` thresholds, `ORDER BY`
+//! direction, or `LIMIT` is answered in `O(groups)` from the cached
+//! group phase instead of rescanning the base table. These tests drive
+//! that cache through [`crate::Explorer::answer_relation`] and hold every
+//! warm relation equal to a cold execution.
 
-use crate::cache::LruCache;
-use qagview_common::Result;
-use qagview_query::{
-    bind, group_aggregate_auto, parse, GroupTable, GroupedResult, ParallelScanStats, QueryOutput,
-};
-use qagview_storage::{Catalog, TableId};
-use std::sync::Arc;
-
-/// Default bound on the number of cached group phases.
-pub const DEFAULT_SESSION_CACHE_ENTRIES: usize = 64;
-
-/// An interactive query session over a catalog.
-///
-/// # Examples
-///
-/// ```
-/// use qagview_interactive::QuerySession;
-/// use qagview_storage::{Catalog, Cell, ColumnType, Schema, TableBuilder};
-///
-/// let schema = Schema::from_pairs(&[
-///     ("genre", ColumnType::Str),
-///     ("rating", ColumnType::Float),
-/// ]).unwrap();
-/// let mut b = TableBuilder::new(schema);
-/// for (g, r) in [("a", 4.0), ("a", 2.0), ("b", 5.0), ("b", 3.0)] {
-///     b.push_row(vec![g.into(), Cell::Float(r)]).unwrap();
-/// }
-/// let mut catalog = Catalog::new();
-/// catalog.register("r", b.finish());
-///
-/// let mut session = QuerySession::new(&catalog);
-/// let base = "SELECT genre, AVG(rating) AS val FROM r GROUP BY genre \
-///             HAVING count(*) > 0 ORDER BY val DESC";
-/// session.run(base).unwrap();
-/// // Moving the threshold hits the cached group table: no rescan.
-/// let strict = "SELECT genre, AVG(rating) AS val FROM r GROUP BY genre \
-///               HAVING count(*) > 9 ORDER BY val DESC";
-/// assert!(session.run(strict).unwrap().rows.is_empty());
-/// assert_eq!(session.cache_hits(), 1);
-/// ```
-#[derive(Debug)]
-pub struct QuerySession<'a> {
-    catalog: &'a Catalog,
-    /// Finished group phases keyed by `(table, GroupSpec fingerprint)`.
-    cache: LruCache<(TableId, u64), Arc<GroupedResult>>,
-    /// Reused across cache misses so the group hash table and key arena
-    /// keep their allocations.
-    scratch: GroupTable,
-    /// Cumulative morsel-parallel scan counters (zero while every table
-    /// stays below the parallel threshold).
-    scan_stats: ParallelScanStats,
-}
-
-impl<'a> QuerySession<'a> {
-    /// Open a session over `catalog` with the default cache bound. Tables
-    /// are borrowed immutably for the session's lifetime, so cached group
-    /// phases can never go stale.
-    pub fn new(catalog: &'a Catalog) -> Self {
-        Self::with_cache_entries(catalog, DEFAULT_SESSION_CACHE_ENTRIES)
-    }
-
-    /// Open a session whose cache holds at most `entries` group phases
-    /// (least-recently-used phases are evicted beyond that).
-    pub fn with_cache_entries(catalog: &'a Catalog, entries: usize) -> Self {
-        QuerySession {
-            catalog,
-            cache: LruCache::new(entries),
-            scratch: GroupTable::new(0),
-            scan_stats: ParallelScanStats::default(),
-        }
-    }
-
-    /// Parse, bind, and execute `sql`, reusing a cached group phase when
-    /// one with the same scan/filter/group/aggregate shape exists.
-    ///
-    /// The output is byte-identical to a cold
-    /// [`qagview_query::run_query`]: only the cost changes.
-    pub fn run(&mut self, sql: &str) -> Result<QueryOutput> {
-        let stmt = parse(sql)?;
-        let (table_id, table) = self.catalog.require_shared(&stmt.from)?;
-        let bound = bind(&stmt, &table)?;
-        let key = (table_id, bound.group.fingerprint());
-        if let Some(grouped) = self.cache.get_cloned(&key) {
-            return grouped.apply(&bound.output);
-        }
-        let grouped = group_aggregate_auto(
-            &bound.group,
-            &table,
-            &mut self.scratch,
-            &mut self.scan_stats,
-        )?;
-        let out = grouped.apply(&bound.output);
-        self.cache.insert(key, Arc::new(grouped));
-        out
-    }
-
-    /// How many queries were answered from a cached group phase.
-    pub fn cache_hits(&self) -> usize {
-        self.cache.stats().hits as usize
-    }
-
-    /// How many queries had to run their group phase cold.
-    pub fn cache_misses(&self) -> usize {
-        self.cache.stats().misses as usize
-    }
-
-    /// How many group phases were evicted to stay within the cache bound.
-    pub fn cache_evictions(&self) -> usize {
-        self.cache.stats().evictions as usize
-    }
-
-    /// Number of distinct group phases currently cached.
-    pub fn cached_group_phases(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// How many morsels were served by a worker's pooled scratch (rather
-    /// than a fresh allocation) across the session's parallel scans. Zero
-    /// while every scanned table stays below the parallel threshold.
-    pub fn scratch_reuses(&self) -> usize {
-        self.scan_stats.scratch_reuses as usize
-    }
-
-    /// Cumulative morsel-parallel scan counters for the session.
-    pub fn scan_stats(&self) -> ParallelScanStats {
-        self.scan_stats
-    }
-
-    /// Drop every cached group phase (e.g. to release memory in a
-    /// long-running session).
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{Explorer, ExplorerConfig};
+    use qagview_lattice::{AnswerSet, AnswerSetBuilder};
     use qagview_query::run_query;
-    use qagview_storage::{Cell, ColumnType, Schema, TableBuilder};
+    use qagview_storage::{Catalog, Cell, ColumnType, Schema, TableBuilder};
 
     fn catalog() -> Catalog {
         let schema = Schema::from_pairs(&[
@@ -188,6 +45,25 @@ mod tests {
         c
     }
 
+    /// The cold oracle: the row engine's relation, coded through the
+    /// answer-set builder.
+    fn cold(c: &Catalog, sql: &str) -> AnswerSet {
+        let out = run_query(c, sql).unwrap();
+        let mut b = AnswerSetBuilder::new(out.attr_names.clone());
+        for row in &out.rows {
+            let attrs: Vec<&str> = row.attrs.iter().map(String::as_str).collect();
+            b.push(&attrs, row.val).unwrap();
+        }
+        b.finish().unwrap()
+    }
+
+    /// Run `sql` through the engine and check it against the cold oracle.
+    fn run(engine: &Explorer, sql: &str) -> AnswerSet {
+        let warm = engine.answer_relation(sql).unwrap();
+        assert_eq!(*warm, cold(engine.catalog(), sql), "{sql}");
+        (*warm).clone()
+    }
+
     fn threshold_sql(threshold: usize, dir: &str) -> String {
         format!(
             "SELECT genre, gender, AVG(rating) AS val FROM ratings \
@@ -198,104 +74,112 @@ mod tests {
 
     #[test]
     fn threshold_moves_reuse_the_group_phase() {
-        let c = catalog();
-        let mut session = QuerySession::new(&c);
-        session.run(&threshold_sql(0, "DESC")).unwrap();
-        assert_eq!(session.cache_misses(), 1);
+        let engine = Explorer::new(catalog());
+        run(&engine, &threshold_sql(0, "DESC"));
+        assert_eq!(engine.stats().group_phase.misses, 1);
         for threshold in [1, 2, 0, 3] {
             for dir in ["DESC", "ASC"] {
-                let sql = threshold_sql(threshold, dir);
-                let warm = session.run(&sql).unwrap();
-                let cold = run_query(&c, &sql).unwrap();
-                assert_eq!(warm, cold, "{sql}");
+                run(&engine, &threshold_sql(threshold, dir));
             }
         }
-        assert_eq!(session.cache_hits(), 8, "every re-run hit the cache");
-        assert_eq!(session.cache_misses(), 1);
-        assert_eq!(session.cached_group_phases(), 1);
+        let groups = engine.stats().group_phase;
+        assert_eq!(groups.hits, 8, "every re-run hit the cache");
+        assert_eq!(groups.misses, 1);
+        assert_eq!(groups.entries, 1);
     }
 
     #[test]
     fn changed_scan_shape_misses_the_cache() {
-        let c = catalog();
-        let mut session = QuerySession::new(&c);
-        session.run(&threshold_sql(0, "DESC")).unwrap();
+        let engine = Explorer::new(catalog());
+        run(&engine, &threshold_sql(0, "DESC"));
         // A different WHERE clause is a different group phase.
-        let other = "SELECT genre, gender, AVG(rating) AS val FROM ratings \
-                     GROUP BY genre, gender HAVING count(*) > 0 ORDER BY val DESC";
-        let warm = session.run(other).unwrap();
-        assert_eq!(session.cache_misses(), 2);
-        assert_eq!(warm, run_query(&c, other).unwrap());
+        run(
+            &engine,
+            "SELECT genre, gender, AVG(rating) AS val FROM ratings \
+             GROUP BY genre, gender HAVING count(*) > 0 ORDER BY val DESC",
+        );
+        assert_eq!(engine.stats().group_phase.misses, 2);
         // And both phases stay cached independently.
-        session.run(&threshold_sql(2, "ASC")).unwrap();
-        session
-            .run(
-                "SELECT genre, gender, AVG(rating) AS val FROM ratings \
-                  GROUP BY genre, gender HAVING count(*) > 1 ORDER BY val DESC",
-            )
-            .unwrap();
-        assert_eq!(session.cache_hits(), 2);
-        assert_eq!(session.cached_group_phases(), 2);
+        run(&engine, &threshold_sql(2, "ASC"));
+        run(
+            &engine,
+            "SELECT genre, gender, AVG(rating) AS val FROM ratings \
+             GROUP BY genre, gender HAVING count(*) > 1 ORDER BY val DESC",
+        );
+        let groups = engine.stats().group_phase;
+        assert_eq!(groups.hits, 2);
+        assert_eq!(groups.entries, 2);
     }
 
     #[test]
     fn limit_and_unordered_variants_hit_the_cache() {
-        let c = catalog();
-        let mut session = QuerySession::new(&c);
+        let engine = Explorer::new(catalog());
         let base = "SELECT genre, AVG(rating) AS val FROM ratings GROUP BY genre";
-        session.run(base).unwrap();
+        run(&engine, base);
         for sql in [
             format!("{base} ORDER BY val DESC LIMIT 1"),
             format!("{base} ORDER BY val ASC"),
             format!("{base} HAVING avg(rating) > 0 LIMIT 2"),
         ] {
-            let warm = session.run(&sql).unwrap();
-            assert_eq!(warm, run_query(&c, &sql).unwrap(), "{sql}");
+            run(&engine, &sql);
         }
         // HAVING avg(rating) reuses the projected AVG aggregate, so all
         // three variants share the base group phase.
-        assert_eq!(session.cache_hits(), 3);
-        assert_eq!(session.cache_misses(), 1);
+        let groups = engine.stats().group_phase;
+        assert_eq!(groups.hits, 3);
+        assert_eq!(groups.misses, 1);
     }
 
     #[test]
     fn errors_surface_and_do_not_poison_the_cache() {
-        let c = catalog();
-        let mut session = QuerySession::new(&c);
-        assert!(session
-            .run("SELECT ghost, AVG(rating) FROM ratings GROUP BY ghost")
+        let engine = Explorer::new(catalog());
+        assert!(engine
+            .answer_relation("SELECT ghost, AVG(rating) FROM ratings GROUP BY ghost")
             .is_err());
-        assert!(session
-            .run("SELECT genre, AVG(rating) FROM nope GROUP BY genre")
+        assert!(engine
+            .answer_relation("SELECT genre, AVG(rating) FROM nope GROUP BY genre")
             .is_err());
-        assert_eq!(session.cached_group_phases(), 0);
+        assert_eq!(engine.stats().group_phase.entries, 0);
         let sql = threshold_sql(0, "DESC");
-        assert_eq!(session.run(&sql).unwrap(), run_query(&c, &sql).unwrap());
-        session.clear_cache();
-        assert_eq!(session.cached_group_phases(), 0);
-        session.run(&sql).unwrap();
-        assert_eq!(session.cache_misses(), 2, "cleared cache forces a cold run");
+        run(&engine, &sql);
+        run(&engine, &sql);
+        let groups = engine.stats().group_phase;
+        assert_eq!(groups.entries, 1);
+        assert_eq!(groups.misses, 1, "the failed queries cached nothing");
+        assert_eq!(groups.hits, 1);
     }
 
     #[test]
     fn cache_bound_evicts_least_recently_used_phase() {
-        let c = catalog();
-        let mut session = QuerySession::with_cache_entries(&c, 2);
+        let engine = Explorer::with_config(
+            catalog(),
+            ExplorerConfig {
+                group_cache_entries: 2,
+                ..Default::default()
+            },
+        );
         let sql_a = "SELECT genre, AVG(rating) AS val FROM ratings GROUP BY genre";
         let sql_b = "SELECT gender, AVG(rating) AS val FROM ratings GROUP BY gender";
         let sql_c = "SELECT genre, gender, AVG(rating) AS val FROM ratings \
                      GROUP BY genre, gender";
-        session.run(sql_a).unwrap();
-        session.run(sql_b).unwrap();
-        session.run(sql_a).unwrap(); // refresh A; B becomes LRU
-        session.run(sql_c).unwrap(); // evicts B
-        assert_eq!(session.cache_evictions(), 1);
-        assert_eq!(session.cached_group_phases(), 2);
-        session.run(sql_a).unwrap();
-        assert_eq!(session.cache_hits(), 2, "A survived the eviction");
-        session.run(sql_b).unwrap();
-        assert_eq!(session.cache_misses(), 4, "B was evicted and re-ran cold");
-        // Outputs stay correct throughout.
-        assert_eq!(session.run(sql_b).unwrap(), run_query(&c, sql_b).unwrap());
+        run(&engine, sql_a);
+        run(&engine, sql_b);
+        run(&engine, sql_a); // refresh A; B becomes LRU
+        run(&engine, sql_c); // evicts B
+        let groups = engine.stats().group_phase;
+        assert_eq!(groups.evictions, 1);
+        assert_eq!(groups.entries, 2);
+        run(&engine, sql_a);
+        assert_eq!(
+            engine.stats().group_phase.hits,
+            2,
+            "A survived the eviction"
+        );
+        run(&engine, sql_b);
+        assert_eq!(
+            engine.stats().group_phase.misses,
+            4,
+            "B was evicted and re-ran cold"
+        );
     }
 }

@@ -105,9 +105,6 @@ fn eval_code(eval: EvalMode) -> u8 {
     match eval {
         EvalMode::Naive => 0,
         EvalMode::Delta => 1,
-        // Never written in practice — approximate planes skip the store —
-        // but the mapping must stay total.
-        EvalMode::Relaxed => 2,
     }
 }
 
@@ -115,7 +112,6 @@ fn eval_from(code: u8) -> Result<EvalMode> {
     match code {
         0 => Ok(EvalMode::Naive),
         1 => Ok(EvalMode::Delta),
-        2 => Ok(EvalMode::Relaxed),
         other => Err(QagError::store(
             StoreErrorKind::Corrupt,
             format!("unknown eval-mode code {other}"),
@@ -994,6 +990,23 @@ mod tests {
             StoreReader::from_bytes(bytes).unwrap_err().store_kind(),
             Some(StoreErrorKind::ChecksumMismatch)
         );
+    }
+
+    #[test]
+    fn retired_eval_mode_tag_is_corrupt() {
+        // Tag 2 named the removed relaxed evaluator. No store ever held it
+        // (approximate planes skip the store), so a file carrying it —
+        // with a valid checksum — is corrupt, not a plane to load.
+        let (_, pre) = built();
+        let mut bytes = to_bytes(&pre).unwrap();
+        // The eval tag follows the fingerprint, n, and seven u32 fields.
+        let eval_at = HEADER_BYTES + 8 + 8 + 7 * 4;
+        assert_eq!(bytes[eval_at], eval_code(EvalMode::Delta));
+        bytes[eval_at] = 2;
+        let sum = checksum64(&bytes[HEADER_BYTES..]);
+        bytes[12..20].copy_from_slice(&sum.to_le_bytes());
+        let err = StoreReader::from_bytes(bytes).unwrap_err();
+        assert_eq!(err.store_kind(), Some(StoreErrorKind::Corrupt), "{err}");
     }
 
     #[test]

@@ -135,8 +135,7 @@ pub mod prelude {
         store, CacheLayer, CacheOutcome, CacheProvenance, ClusterView, Degradation, ExploreCommand,
         ExploreResponse, ExploreSession, ExploreState, Explorer, ExplorerConfig, ExplorerStats,
         Fidelity, FidelityMode, GcReport, GuidancePlot, PoisonStats, PrecomputeConfig, Precomputed,
-        QuerySession, SampleSpec, SampleStats, SessionSpec, StoreLayerStats, StoreReader,
-        SummaryView,
+        SampleSpec, SampleStats, SessionSpec, StoreLayerStats, StoreReader, SummaryView,
     };
     pub use qagview_lattice::{
         AnswerSet, AnswerSetBuilder, AnswersHandle, CandidateIndex, Pattern, STAR,

@@ -16,9 +16,7 @@
 //!   as the differential-testing oracle and the benchmark baseline.
 
 use crate::ast::{AggFunc, CmpOp, OrderDir};
-use crate::group::{
-    cmp_holds, encode_i64, fold_hash, AggColumns, GroupCounts, GroupTable, GroupedResult,
-};
+use crate::group::{cmp_holds, encode_i64, fold_hash, Accumulators, GroupTable, GroupedResult};
 use crate::plan::{BoundPredicate, BoundQuery, GroupSpec};
 use qagview_common::{FxHashMap, QagError, Result, Value};
 use qagview_storage::selection::{gather_f64, gather_i64_as_f64, SelOp, SelectionVector};
@@ -183,9 +181,9 @@ pub(crate) fn encode_keys(
 }
 
 /// The distinct aggregate input columns of a query and, per aggregate, the
-/// index of the distinct column it reads (`None` for `COUNT`). Shared by
-/// the sequential scan and the morsel-parallel workers so both gather each
-/// distinct column exactly once per batch.
+/// index of the distinct column it reads (`None` for `COUNT`). Every scan
+/// runs through [`scan_batches`], which gathers each distinct column
+/// exactly once per batch however many aggregates read it.
 pub(crate) struct AggInputs {
     pub(crate) input_cols: Vec<usize>,
     pub(crate) agg_input: Vec<Option<usize>>,
@@ -226,6 +224,163 @@ pub(crate) fn plan_agg_inputs(spec: &GroupSpec, table: &Table) -> Result<AggInpu
     })
 }
 
+/// The rows a scan visits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RowSource<'a> {
+    /// The contiguous row range `[start, end)` — the exact scans.
+    Range(usize, usize),
+    /// Strictly ascending row ids — the sampled scan.
+    Ids(&'a [u32]),
+}
+
+/// The per-batch buffers of [`scan_batches`], reusable across scans so a
+/// worker that scans many morsels allocates them once.
+pub(crate) struct ScanScratch {
+    sel: SelectionVector,
+    keys: Vec<u64>,
+    hashes: Vec<u64>,
+    gids: Vec<u32>,
+    /// One gather buffer per distinct aggregate input column.
+    gathered: Vec<Vec<f64>>,
+}
+
+impl ScanScratch {
+    pub(crate) fn new(width: usize, num_inputs: usize) -> Self {
+        ScanScratch {
+            sel: SelectionVector::with_capacity(BATCH_ROWS),
+            keys: Vec::with_capacity(BATCH_ROWS * width.max(1)),
+            hashes: Vec::with_capacity(BATCH_ROWS),
+            gids: Vec::with_capacity(BATCH_ROWS),
+            gathered: (0..num_inputs)
+                .map(|_| Vec::with_capacity(BATCH_ROWS))
+                .collect(),
+        }
+    }
+}
+
+/// One batch that survived the predicates, as [`scan_batches`] hands it to
+/// its caller.
+pub(crate) struct ScanBatch<'a> {
+    /// The selected row ids, ascending.
+    pub(crate) rows: &'a [u32],
+    /// The group id of each selected row.
+    pub(crate) gids: &'a [u32],
+    /// Groups in the scan's table after this batch.
+    pub(crate) num_groups: usize,
+    table: &'a Table,
+    input_cols: &'a [usize],
+    gathered: &'a [Vec<f64>],
+    /// `Some(first_row)` when every row of a range batch survived.
+    dense_start: Option<usize>,
+}
+
+impl<'a> ScanBatch<'a> {
+    /// The selected rows' values of distinct aggregate input `k`, in row
+    /// order. A dense float batch is read straight off the column storage;
+    /// every other batch was gathered into scratch once.
+    pub(crate) fn input(&self, k: usize) -> &'a [f64] {
+        match (
+            self.table.column(self.input_cols[k]).as_f64(),
+            self.dense_start,
+        ) {
+            (Some(v), Some(start)) => &v[start..start + self.gids.len()],
+            _ => &self.gathered[k],
+        }
+    }
+}
+
+/// The one batch loop of every group-phase scan: the sequential scan, each
+/// morsel of the parallel scan, and each chunk of the sampled scan.
+///
+/// Walks `source` in batches of [`BATCH_ROWS`] rows, refines each batch's
+/// selection through the `WHERE` predicates, encodes the survivors' group
+/// keys, assigns their group ids in `gt`, gathers each distinct aggregate
+/// input column once, and passes the batch to `on_batch`. Batches are
+/// visited in ascending row order, so callers that fold values in
+/// `on_batch` accumulate in row order.
+pub(crate) fn scan_batches(
+    spec: &GroupSpec,
+    table: &Table,
+    inputs: &AggInputs,
+    source: RowSource<'_>,
+    gt: &mut GroupTable,
+    scratch: &mut ScanScratch,
+    mut on_batch: impl FnMut(&ScanBatch<'_>),
+) -> Result<()> {
+    let ScanScratch {
+        sel,
+        keys,
+        hashes,
+        gids,
+        gathered,
+    } = scratch;
+    let total = match source {
+        RowSource::Range(start, end) => end - start,
+        RowSource::Ids(ids) => ids.len(),
+    };
+    for offset in (0..total).step_by(BATCH_ROWS) {
+        let len = BATCH_ROWS.min(total - offset);
+        let range_start = match source {
+            RowSource::Range(start, _) => {
+                let first = start + offset;
+                sel.fill_range(first as u32, (first + len) as u32);
+                Some(first)
+            }
+            RowSource::Ids(ids) => {
+                sel.fill_ids(&ids[offset..offset + len]);
+                None
+            }
+        };
+        for p in &spec.predicates {
+            apply_predicate(table, p, sel)?;
+            if sel.is_empty() {
+                break;
+            }
+        }
+        if sel.is_empty() {
+            continue;
+        }
+
+        // A range batch is "dense" when no predicate dropped a row: the
+        // kernels can then walk the column slices directly.
+        let dense_start = range_start.filter(|_| sel.len() == len);
+        encode_keys(table, &spec.group_cols, sel, dense_start, keys, hashes)?;
+        gt.assign(keys, hashes, sel.len(), gids);
+
+        for (k, &c) in inputs.input_cols.iter().enumerate() {
+            let col = table.column(c);
+            if let Some(v) = col.as_f64() {
+                // Dense float batches need no copy (see `ScanBatch::input`).
+                if dense_start.is_none() {
+                    gather_f64(v, sel, &mut gathered[k]);
+                }
+            } else if let Some(v) = col.as_i64() {
+                match dense_start {
+                    // Dense i64 batch: convert off the contiguous slice,
+                    // no selection indirection.
+                    Some(start) => {
+                        gathered[k].clear();
+                        gathered[k].extend(v[start..start + len].iter().map(|&x| x as f64));
+                    }
+                    None => gather_i64_as_f64(v, sel, &mut gathered[k]),
+                }
+            } else {
+                unreachable!("non-numeric inputs rejected before the scan");
+            }
+        }
+        on_batch(&ScanBatch {
+            rows: sel.rows(),
+            gids,
+            num_groups: gt.num_groups(),
+            table,
+            input_cols: &inputs.input_cols,
+            gathered,
+            dense_start,
+        });
+    }
+    Ok(())
+}
+
 /// Run the group phase of a query — batched filter, group-id assignment,
 /// columnar aggregation — producing the cacheable [`GroupedResult`].
 pub fn group_aggregate(spec: &GroupSpec, table: &Table) -> Result<GroupedResult> {
@@ -242,111 +397,19 @@ pub fn group_aggregate_with(
     gt: &mut GroupTable,
 ) -> Result<GroupedResult> {
     gt.clear(spec.group_cols.len());
-    let mut counts = GroupCounts::default();
-    let mut acc: Vec<AggColumns> = spec.aggs.iter().map(|_| AggColumns::default()).collect();
-
-    let mut sel = SelectionVector::with_capacity(BATCH_ROWS);
-    let mut keys: Vec<u64> = Vec::with_capacity(BATCH_ROWS * spec.group_cols.len());
-    let mut hashes: Vec<u64> = Vec::with_capacity(BATCH_ROWS);
-    let mut gids: Vec<u32> = Vec::with_capacity(BATCH_ROWS);
-
-    let AggInputs {
-        input_cols,
-        agg_input,
-    } = plan_agg_inputs(spec, table)?;
-    let mut input_scratch: Vec<Vec<f64>> = input_cols
-        .iter()
-        .map(|_| Vec::with_capacity(BATCH_ROWS))
-        .collect();
-
-    let n = table.num_rows();
-    let mut batch_start = 0usize;
-    while batch_start < n {
-        let end = (batch_start + BATCH_ROWS).min(n);
-        sel.fill_range(batch_start as u32, end as u32);
-        for p in &spec.predicates {
-            apply_predicate(table, p, &mut sel)?;
-            if sel.is_empty() {
-                break;
-            }
-        }
-        if sel.is_empty() {
-            batch_start = end;
-            continue;
-        }
-
-        // The selection is "dense" when no predicate dropped a row: the
-        // kernels can then walk the column slices directly.
-        let dense_start = if sel.len() == end - batch_start {
-            Some(batch_start)
-        } else {
-            None
-        };
-        encode_keys(
-            table,
-            &spec.group_cols,
-            &sel,
-            dense_start,
-            &mut keys,
-            &mut hashes,
-        )?;
-        gt.assign(&keys, &hashes, sel.len(), &mut gids);
-
-        // Row counts are shared: every aggregate of the query counts
-        // exactly the selected rows (columns are non-nullable).
-        counts.count_rows(&gids, gt.num_groups());
-        // Gather each distinct input column once. Float columns in a
-        // dense batch are aggregated straight off the column storage (the
-        // scratch stays empty for them); everything else fills scratch.
-        for (k, &c) in input_cols.iter().enumerate() {
-            let col = table.column(c);
-            if let Some(v) = col.as_f64() {
-                if dense_start.is_none() {
-                    gather_f64(v, &sel, &mut input_scratch[k]);
-                }
-            } else if let Some(v) = col.as_i64() {
-                match dense_start {
-                    // Dense i64 batch: convert off the contiguous slice,
-                    // no selection indirection.
-                    Some(start) => {
-                        input_scratch[k].clear();
-                        input_scratch[k]
-                            .extend(v[start..start + sel.len()].iter().map(|&x| x as f64));
-                    }
-                    None => gather_i64_as_f64(v, &sel, &mut input_scratch[k]),
-                }
-            } else {
-                unreachable!("non-numeric inputs rejected before the scan");
-            }
-        }
-        for (ai, agg) in spec.aggs.iter().enumerate() {
-            // COUNT(*) / COUNT(col) finish from the shared counts alone.
-            let Some(k) = agg_input[ai] else { continue };
-            let vals: &[f64] = match (table.column(input_cols[k]).as_f64(), dense_start) {
-                (Some(v), Some(start)) => &v[start..start + sel.len()],
-                _ => &input_scratch[k],
-            };
-            // Each aggregate only ever finishes its own function, so only
-            // that function's state needs maintaining.
-            match agg.func {
-                AggFunc::Sum | AggFunc::Avg => acc[ai].accumulate_sum(&gids, vals, gt.num_groups()),
-                AggFunc::Min => acc[ai].accumulate_min(&gids, vals, gt.num_groups()),
-                AggFunc::Max => acc[ai].accumulate_max(&gids, vals, gt.num_groups()),
-                AggFunc::Count => unreachable!("filtered above"),
-            }
-        }
-        batch_start = end;
-    }
-
-    GroupedResult::finish(
+    let inputs = plan_agg_inputs(spec, table)?;
+    let mut scratch = ScanScratch::new(spec.group_cols.len(), inputs.input_cols.len());
+    let mut acc = Accumulators::new(&spec.aggs, &inputs.agg_input);
+    scan_batches(
+        spec,
         table,
-        &spec.group_cols,
-        spec.group_names.clone(),
-        &spec.aggs,
+        &inputs,
+        RowSource::Range(0, table.num_rows()),
         gt,
-        &counts,
-        &acc,
-    )
+        &mut scratch,
+        |batch| acc.add(batch.gids, batch.num_groups, |k| batch.input(k)),
+    )?;
+    GroupedResult::finish(table, spec, gt, &acc)
 }
 
 /// Execute a bound query through the vectorized pipeline, producing the

@@ -12,7 +12,7 @@
 
 use crate::ast::{AggFunc, CmpOp, OrderDir};
 use crate::exec::{QueryOutput, QueryRow};
-use crate::plan::{BoundAgg, OutputSpec};
+use crate::plan::{BoundAgg, GroupSpec, OutputSpec};
 use qagview_common::{FxHashMap, QagError, Result, Symbol};
 use qagview_lattice::AnswerSet;
 use qagview_storage::{Column, Table};
@@ -107,8 +107,7 @@ impl GroupTable {
     }
 
     /// The whole key arena in group-id order (`width` lanes per group) —
-    /// what the morsel-merge feeds back through [`GroupTable::assign`] to
-    /// remap a partition's local group ids onto the global table.
+    /// what a scan partition hands to [`GroupTable::merge_partition`].
     pub(crate) fn key_arena(&self) -> &[u64] {
         &self.keys
     }
@@ -186,19 +185,51 @@ impl GroupTable {
             gids.push(gid);
         }
     }
+
+    /// Fold one scan partition's groups into this table and translate the
+    /// partition's per-row local group ids into global ids, written to
+    /// `global` (cleared first). `local_keys` is the partition table's key
+    /// arena, holding `num_local` groups.
+    ///
+    /// Local groups are inserted in local-gid order. A partition scanned in
+    /// ascending row order numbers its groups by first encounter, so
+    /// merging ascending contiguous partitions reproduces the
+    /// single-partition first-encounter order exactly, whatever the
+    /// partition boundaries. The morsel-parallel and the sampled scans
+    /// both rest their partition invariance on this.
+    pub(crate) fn merge_partition(
+        &mut self,
+        local_keys: &[u64],
+        num_local: usize,
+        local_gids: &[u32],
+        global: &mut Vec<u32>,
+    ) {
+        let hashes: Vec<u64> = if self.width == 0 {
+            vec![0; num_local]
+        } else {
+            local_keys
+                .chunks_exact(self.width)
+                .map(|key| key.iter().fold(0u64, |h, &lane| fold_hash(h, lane)))
+                .collect()
+        };
+        let mut remap = Vec::with_capacity(num_local);
+        self.assign(local_keys, &hashes, num_local, &mut remap);
+        global.clear();
+        global.extend(local_gids.iter().map(|&lg| remap[lg as usize]));
+    }
 }
 
 /// Per-group row counts, shared by every aggregate of a query: columns
 /// are non-nullable, so `COUNT(*)`, `COUNT(col)`, and the denominators of
 /// every `AVG` all count exactly the selected rows — one pass suffices.
 #[derive(Debug, Default)]
-pub(crate) struct GroupCounts {
+struct GroupCounts {
     count: Vec<u64>,
 }
 
 impl GroupCounts {
     /// Count each row of the batch into its group.
-    pub(crate) fn count_rows(&mut self, gids: &[u32], num_groups: usize) {
+    fn count_rows(&mut self, gids: &[u32], num_groups: usize) {
         if self.count.len() < num_groups {
             self.count.resize(num_groups, 0);
         }
@@ -212,7 +243,7 @@ impl GroupCounts {
 /// group ids, updated by batch kernels. Only the state the aggregate's
 /// function finishes from is maintained.
 #[derive(Debug, Default)]
-pub(crate) struct AggColumns {
+struct AggColumns {
     sum: Vec<f64>,
     min: Vec<f64>,
     max: Vec<f64>,
@@ -231,7 +262,7 @@ impl AggColumns {
     /// `SUM`/`AVG` update: running sum. Accumulation order is ascending
     /// row id (the batches scan in table order), so per-group float sums
     /// are bit-identical to the row-at-a-time reference path.
-    pub(crate) fn accumulate_sum(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
+    fn accumulate_sum(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
         self.ensure(num_groups);
         for (&g, &x) in gids.iter().zip(vals) {
             self.sum[g as usize] += x;
@@ -239,7 +270,7 @@ impl AggColumns {
     }
 
     /// `MIN` update.
-    pub(crate) fn accumulate_min(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
+    fn accumulate_min(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
         self.ensure(num_groups);
         for (&g, &x) in gids.iter().zip(vals) {
             let g = g as usize;
@@ -248,7 +279,7 @@ impl AggColumns {
     }
 
     /// `MAX` update.
-    pub(crate) fn accumulate_max(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
+    fn accumulate_max(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
         self.ensure(num_groups);
         for (&g, &x) in gids.iter().zip(vals) {
             let g = g as usize;
@@ -267,6 +298,58 @@ impl AggColumns {
             }
             AggFunc::Min => self.min[gid],
             AggFunc::Max => self.max[gid],
+        }
+    }
+}
+
+/// The running aggregate state of an exact group phase: the shared
+/// per-group row counts plus one columnar accumulator per aggregate.
+#[derive(Debug)]
+pub(crate) struct Accumulators {
+    /// Per aggregate: its function and the distinct input column it reads
+    /// (`None` when it finishes from the counts alone).
+    aggs: Vec<(AggFunc, Option<usize>)>,
+    counts: GroupCounts,
+    acc: Vec<AggColumns>,
+}
+
+impl Accumulators {
+    /// Empty state for `aggs`, where `agg_input[i]` is the distinct input
+    /// column aggregate `i` reads.
+    pub(crate) fn new(aggs: &[BoundAgg], agg_input: &[Option<usize>]) -> Self {
+        Accumulators {
+            aggs: aggs
+                .iter()
+                .zip(agg_input)
+                .map(|(agg, &k)| (agg.func, k))
+                .collect(),
+            counts: GroupCounts::default(),
+            acc: aggs.iter().map(|_| AggColumns::default()).collect(),
+        }
+    }
+
+    /// Fold rows into their groups: `gids[i]` is the group of row `i` and
+    /// `input(k)` the rows' values of distinct input column `k`, in the
+    /// same order. Each aggregate maintains only the state its function
+    /// finishes from.
+    pub(crate) fn add<'v>(
+        &mut self,
+        gids: &[u32],
+        num_groups: usize,
+        input: impl Fn(usize) -> &'v [f64],
+    ) {
+        // Row counts are shared: every aggregate of the query counts
+        // exactly the selected rows (columns are non-nullable).
+        self.counts.count_rows(gids, num_groups);
+        for (&(func, k), acc) in self.aggs.iter().zip(&mut self.acc) {
+            // COUNT(*) / COUNT(col) finish from the shared counts alone.
+            let Some(k) = k else { continue };
+            match func {
+                AggFunc::Sum | AggFunc::Avg => acc.accumulate_sum(gids, input(k), num_groups),
+                AggFunc::Min => acc.accumulate_min(gids, input(k), num_groups),
+                AggFunc::Max => acc.accumulate_max(gids, input(k), num_groups),
+                AggFunc::Count => unreachable!("COUNT reads no input column"),
+            }
         }
     }
 }
@@ -309,21 +392,28 @@ impl GroupedResult {
     /// the sort permutations.
     pub(crate) fn finish(
         table: &Table,
-        group_cols: &[usize],
-        attr_names: Vec<String>,
-        aggs: &[BoundAgg],
+        spec: &GroupSpec,
         gt: &GroupTable,
-        counts: &GroupCounts,
-        acc: &[AggColumns],
+        acc: &Accumulators,
     ) -> Result<Self> {
         let n = gt.num_groups();
-        let mut finished = vec![Vec::with_capacity(n); aggs.len()];
-        for (ai, agg) in aggs.iter().enumerate() {
-            for gid in 0..n {
-                finished[ai].push(acc[ai].finish(agg.func, gid, counts));
-            }
-        }
-        Self::from_finished(table, group_cols, attr_names, gt, finished)
+        let finished = acc
+            .aggs
+            .iter()
+            .zip(&acc.acc)
+            .map(|(&(func, _), col)| {
+                (0..n)
+                    .map(|gid| col.finish(func, gid, &acc.counts))
+                    .collect()
+            })
+            .collect();
+        Self::from_finished(
+            table,
+            &spec.group_cols,
+            spec.group_names.clone(),
+            gt,
+            finished,
+        )
     }
 
     /// Finish a group phase from already-finished aggregate columns

@@ -58,6 +58,8 @@ pub mod parallel;
 pub mod parser;
 pub mod plan;
 pub mod sample;
+#[cfg(test)]
+mod testutil;
 
 pub use ast::{AggFunc, CmpOp, Literal, OrderDir, SelectStmt};
 pub use exec::{

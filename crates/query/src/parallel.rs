@@ -3,13 +3,14 @@
 //! [`group_aggregate_parallel`] partitions the table scan into fixed-size
 //! *morsels* (contiguous row ranges) dispatched to `std::thread::scope`
 //! workers over an atomic work queue. Each worker owns one pooled set of
-//! scan scratch — a [`SelectionVector`], a [`GroupTable`], key/hash/gid
-//! buffers — reused across every morsel it claims (no per-morsel
+//! scan scratch — a [`GroupTable`] plus the batch buffers of the shared
+//! batch driver — reused across every morsel it claims (no per-morsel
 //! allocation; see [`ParallelScanStats::scratch_reuses`]). A worker scans
-//! its morsel exactly like the sequential pipeline scans a batch run, but
-//! instead of accumulating into global state it emits a compact
+//! its morsel through the same batch driver as the sequential scan, but
+//! instead of accumulating into global state it buffers a compact
 //! `MorselOutput`: the morsel's local group-key arena plus, per selected
-//! row, the local group id and the gathered aggregate-input values.
+//! row, the local group id and the gathered aggregate-input values. The
+//! sampled scan of [`crate::sample`] buffers its chunks the same way.
 //!
 //! # Determinism: ordered partition merge, ascending re-accumulation
 //!
@@ -42,11 +43,10 @@
 //! morsel outputs hold ~`4 + 8·(input columns)` bytes per selected row —
 //! the price of determinism, paid only on the parallel path.
 
-use crate::exec::{apply_predicate, encode_keys, plan_agg_inputs, AggInputs, BATCH_ROWS};
-use crate::group::{fold_hash, AggColumns, GroupCounts, GroupTable, GroupedResult};
+use crate::exec::{plan_agg_inputs, scan_batches, AggInputs, RowSource, ScanScratch, BATCH_ROWS};
+use crate::group::{Accumulators, GroupTable, GroupedResult};
 use crate::plan::GroupSpec;
 use qagview_common::Result;
-use qagview_storage::selection::{gather_f64, gather_i64_as_f64, SelectionVector};
 use qagview_storage::Table;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -122,131 +122,76 @@ impl ParallelScanStats {
 }
 
 /// One worker's pooled scan scratch, reused across every morsel it claims.
-struct WorkerScratch {
-    sel: SelectionVector,
+pub(crate) struct WorkerScratch {
     gt: GroupTable,
-    keys: Vec<u64>,
-    hashes: Vec<u64>,
-    gids: Vec<u32>,
-    input_scratch: Vec<Vec<f64>>,
+    scan: ScanScratch,
 }
 
 impl WorkerScratch {
-    fn new(width: usize, num_inputs: usize) -> Self {
+    pub(crate) fn new(width: usize, num_inputs: usize) -> Self {
         WorkerScratch {
-            sel: SelectionVector::with_capacity(BATCH_ROWS),
             gt: GroupTable::new(width),
-            keys: Vec::with_capacity(BATCH_ROWS * width.max(1)),
-            hashes: Vec::with_capacity(BATCH_ROWS),
-            gids: Vec::with_capacity(BATCH_ROWS),
-            input_scratch: (0..num_inputs)
-                .map(|_| Vec::with_capacity(BATCH_ROWS))
-                .collect(),
+            scan: ScanScratch::new(width, num_inputs),
         }
     }
 }
 
-/// What one morsel's scan produced: the local group-key arena plus, per
-/// selected row in ascending row order, the local group id and the
+/// What one partition's scan produced: the local group-key arena plus,
+/// per selected row in ascending row order, the local group id and the
 /// gathered value of each distinct aggregate input column.
-struct MorselOutput {
-    morsel_id: usize,
-    num_local_groups: usize,
+pub(crate) struct MorselOutput {
+    pub(crate) num_local_groups: usize,
     /// Local key arena copied out of the worker's pooled table
     /// (`width` lanes per local group, local-gid order).
-    local_keys: Vec<u64>,
+    pub(crate) local_keys: Vec<u64>,
     /// Local group id of every selected row, ascending row order.
-    row_gids: Vec<u32>,
+    pub(crate) row_gids: Vec<u32>,
+    /// Row id of every selected row, same order — recorded only when the
+    /// caller asks (the sampler keys its reservoir priorities on it).
+    pub(crate) row_ids: Vec<u32>,
     /// Per distinct input column: the selected rows' values, same order.
-    row_vals: Vec<Vec<f64>>,
+    pub(crate) row_vals: Vec<Vec<f64>>,
 }
 
-/// Scan rows `[start, end)` with the worker's pooled scratch, emitting the
-/// morsel output. Mirrors the sequential pipeline's batch loop exactly —
-/// same predicate kernels, same dense-batch fast paths — except values and
-/// local gids are stored instead of accumulated.
-fn scan_morsel(
+/// Scan one partition through [`scan_batches`] with the worker's pooled
+/// scratch, buffering every batch into a [`MorselOutput`] instead of
+/// accumulating it.
+pub(crate) fn scan_morsel(
     spec: &GroupSpec,
     table: &Table,
     inputs: &AggInputs,
-    start: usize,
-    end: usize,
+    source: RowSource<'_>,
     scratch: &mut WorkerScratch,
-    morsel_id: usize,
+    keep_row_ids: bool,
 ) -> Result<MorselOutput> {
-    let width = spec.group_cols.len();
-    scratch.gt.clear(width);
-    let mut row_gids: Vec<u32> = Vec::new();
-    let mut row_vals: Vec<Vec<f64>> = vec![Vec::new(); inputs.input_cols.len()];
-
-    let mut batch_start = start;
-    while batch_start < end {
-        let batch_end = (batch_start + BATCH_ROWS).min(end);
-        scratch.sel.fill_range(batch_start as u32, batch_end as u32);
-        for p in &spec.predicates {
-            apply_predicate(table, p, &mut scratch.sel)?;
-            if scratch.sel.is_empty() {
-                break;
+    scratch.gt.clear(spec.group_cols.len());
+    let mut out = MorselOutput {
+        num_local_groups: 0,
+        local_keys: Vec::new(),
+        row_gids: Vec::new(),
+        row_ids: Vec::new(),
+        row_vals: vec![Vec::new(); inputs.input_cols.len()],
+    };
+    scan_batches(
+        spec,
+        table,
+        inputs,
+        source,
+        &mut scratch.gt,
+        &mut scratch.scan,
+        |batch| {
+            out.row_gids.extend_from_slice(batch.gids);
+            if keep_row_ids {
+                out.row_ids.extend_from_slice(batch.rows);
             }
-        }
-        if scratch.sel.is_empty() {
-            batch_start = batch_end;
-            continue;
-        }
-        let dense_start = if scratch.sel.len() == batch_end - batch_start {
-            Some(batch_start)
-        } else {
-            None
-        };
-        encode_keys(
-            table,
-            &spec.group_cols,
-            &scratch.sel,
-            dense_start,
-            &mut scratch.keys,
-            &mut scratch.hashes,
-        )?;
-        scratch.gt.assign(
-            &scratch.keys,
-            &scratch.hashes,
-            scratch.sel.len(),
-            &mut scratch.gids,
-        );
-        row_gids.extend_from_slice(&scratch.gids);
-        for (k, &c) in inputs.input_cols.iter().enumerate() {
-            let col = table.column(c);
-            if let Some(v) = col.as_f64() {
-                match dense_start {
-                    Some(s) => row_vals[k].extend_from_slice(&v[s..s + scratch.sel.len()]),
-                    None => {
-                        gather_f64(v, &scratch.sel, &mut scratch.input_scratch[k]);
-                        row_vals[k].extend_from_slice(&scratch.input_scratch[k]);
-                    }
-                }
-            } else if let Some(v) = col.as_i64() {
-                match dense_start {
-                    Some(s) => {
-                        row_vals[k].extend(v[s..s + scratch.sel.len()].iter().map(|&x| x as f64))
-                    }
-                    None => {
-                        gather_i64_as_f64(v, &scratch.sel, &mut scratch.input_scratch[k]);
-                        row_vals[k].extend_from_slice(&scratch.input_scratch[k]);
-                    }
-                }
-            } else {
-                unreachable!("non-numeric inputs rejected before the scan");
+            for (k, vals) in out.row_vals.iter_mut().enumerate() {
+                vals.extend_from_slice(batch.input(k));
             }
-        }
-        batch_start = batch_end;
-    }
-
-    Ok(MorselOutput {
-        morsel_id,
-        num_local_groups: scratch.gt.num_groups(),
-        local_keys: scratch.gt.key_arena().to_vec(),
-        row_gids,
-        row_vals,
-    })
+        },
+    )?;
+    out.num_local_groups = scratch.gt.num_groups();
+    out.local_keys = scratch.gt.key_arena().to_vec();
+    Ok(out)
 }
 
 /// Run the group phase morsel-parallel. Byte-identical to
@@ -290,7 +235,7 @@ pub fn group_aggregate_parallel_with(
     // locally. The morsel-id sort afterwards makes the merge independent
     // of the scheduling order.
     let next = AtomicUsize::new(0);
-    let worker_loop = |reuses: &mut u64| -> Result<Vec<MorselOutput>> {
+    let worker_loop = |reuses: &mut u64| -> Result<Vec<(usize, MorselOutput)>> {
         let mut scratch = WorkerScratch::new(width, inputs.input_cols.len());
         let mut out = Vec::new();
         loop {
@@ -303,21 +248,17 @@ pub fn group_aggregate_parallel_with(
             }
             let start = m * morsel_rows;
             let end = (start + morsel_rows).min(n);
-            out.push(scan_morsel(
-                spec,
-                table,
-                &inputs,
-                start,
-                end,
-                &mut scratch,
+            let source = RowSource::Range(start, end);
+            out.push((
                 m,
-            )?);
+                scan_morsel(spec, table, &inputs, source, &mut scratch, false)?,
+            ));
         }
         Ok(out)
     };
 
-    let mut outputs: Vec<MorselOutput> = if workers > 1 {
-        let results: Vec<Result<(Vec<MorselOutput>, u64)>> = std::thread::scope(|scope| {
+    let mut outputs: Vec<(usize, MorselOutput)> = if workers > 1 {
+        let results: Vec<Result<_>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
@@ -344,70 +285,26 @@ pub fn group_aggregate_parallel_with(
         run_stats.scratch_reuses += reuses;
         out
     };
-    outputs.sort_unstable_by_key(|o| o.morsel_id);
+    outputs.sort_unstable_by_key(|&(m, _)| m);
 
     // Ordered merge: walk morsels in ascending id, remap local group ids
     // through the global table, and re-accumulate every aggregate row by
     // row — replaying the sequential scan's exact accumulation order.
     gt.clear(width);
-    let mut counts = GroupCounts::default();
-    let mut acc: Vec<AggColumns> = spec.aggs.iter().map(|_| AggColumns::default()).collect();
-    let mut remap: Vec<u32> = Vec::new();
-    let mut remap_hashes: Vec<u64> = Vec::new();
-    let mut global_gids: Vec<u32> = Vec::new();
-    for out in &outputs {
-        // Insert this morsel's local groups in local-gid order: local
-        // first-encounter order is row order, so the global table extends
-        // in sequential first-encounter order.
-        remap_hashes.clear();
-        remap_hashes.extend(
-            out.local_keys
-                .chunks_exact(width.max(1))
-                .take(out.num_local_groups)
-                .map(|key| key.iter().fold(0u64, |h, &lane| fold_hash(h, lane))),
-        );
-        if width == 0 {
-            remap_hashes.resize(out.num_local_groups, 0);
-        }
-        gt.assign(
+    let mut acc = Accumulators::new(&spec.aggs, &inputs.agg_input);
+    let mut gids: Vec<u32> = Vec::new();
+    for (_, out) in &outputs {
+        gt.merge_partition(
             &out.local_keys,
-            &remap_hashes,
             out.num_local_groups,
-            &mut remap,
+            &out.row_gids,
+            &mut gids,
         );
-        global_gids.clear();
-        global_gids.extend(out.row_gids.iter().map(|&lg| remap[lg as usize]));
-        counts.count_rows(&global_gids, gt.num_groups());
-        for (ai, agg) in spec.aggs.iter().enumerate() {
-            let Some(k) = inputs.agg_input[ai] else {
-                continue;
-            };
-            let vals = &out.row_vals[k];
-            match agg.func {
-                crate::ast::AggFunc::Sum | crate::ast::AggFunc::Avg => {
-                    acc[ai].accumulate_sum(&global_gids, vals, gt.num_groups())
-                }
-                crate::ast::AggFunc::Min => {
-                    acc[ai].accumulate_min(&global_gids, vals, gt.num_groups())
-                }
-                crate::ast::AggFunc::Max => {
-                    acc[ai].accumulate_max(&global_gids, vals, gt.num_groups())
-                }
-                crate::ast::AggFunc::Count => unreachable!("filtered above"),
-            }
-        }
+        acc.add(&gids, gt.num_groups(), |k| &out.row_vals[k]);
     }
 
     stats.merge(run_stats);
-    GroupedResult::finish(
-        table,
-        &spec.group_cols,
-        spec.group_names.clone(),
-        &spec.aggs,
-        gt,
-        &counts,
-        &acc,
-    )
+    GroupedResult::finish(table, spec, gt, &acc)
 }
 
 /// Size-dispatching group phase: the morsel-parallel path for tables of at
@@ -434,66 +331,12 @@ mod tests {
     use crate::exec::{execute_rows, group_aggregate};
     use crate::parser::parse;
     use crate::plan::bind;
-    use qagview_storage::{Cell, ColumnType, Schema, TableBuilder};
+    use crate::testutil::random_table;
 
     /// The partition counts every invariance test sweeps — 1 degenerates
     /// to the identity remap, the rest force group keys to straddle
     /// morsel boundaries in different ways.
     const PARTITIONS: [usize; 5] = [1, 2, 3, 7, 16];
-
-    /// Tiny deterministic xorshift so the property tests need no RNG dep.
-    struct XorShift(u64);
-    impl XorShift {
-        fn next(&mut self) -> u64 {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            x
-        }
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
-
-    /// A random table whose float values exercise non-associativity
-    /// (mixed magnitudes), with occasional NaNs and signed zeros.
-    fn random_table(seed: u64, rows: usize) -> Table {
-        let schema = Schema::from_pairs(&[
-            ("g", ColumnType::Int),
-            ("s", ColumnType::Str),
-            ("flag", ColumnType::Bool),
-            ("x", ColumnType::Float),
-            ("n", ColumnType::Int),
-        ])
-        .unwrap();
-        let mut rng = XorShift(seed.wrapping_mul(0x9e3779b97f4a7c15).max(1));
-        let mut b = TableBuilder::with_capacity(schema, rows);
-        for _ in 0..rows {
-            let g = rng.below(23) as i64 - 11;
-            let s = format!("s{}", rng.below(7));
-            let flag = rng.below(2) == 0;
-            let x = match rng.below(41) {
-                0 => f64::NAN,
-                1 => -0.0,
-                2 => 0.0,
-                k if k < 10 => (rng.below(1000) as f64) * 1e-9,
-                k if k < 20 => (rng.below(1000) as f64) * 1e6,
-                _ => rng.below(10_000) as f64 / 16.0 - 300.0,
-            };
-            let n = rng.below(1_000_000) as i64 - 500_000;
-            b.push_row(vec![
-                Cell::Int(g),
-                s.as_str().into(),
-                flag.into(),
-                Cell::Float(x),
-                Cell::Int(n),
-            ])
-            .unwrap();
-        }
-        b.finish()
-    }
 
     /// Assert the parallel scan is byte-identical to the sequential oracle
     /// for every swept partition count: equal `GroupedResult` fingerprints
@@ -561,6 +404,8 @@ mod tests {
                  ORDER BY val DESC LIMIT 5",
                 "SELECT g, COUNT(*) AS val FROM t WHERE x >= -100 GROUP BY g \
                  HAVING count(*) > 2 ORDER BY val DESC",
+                "SELECT g, s, AVG(x) AS val FROM t WHERE band = 1 GROUP BY g, s \
+                 ORDER BY val DESC",
             ] {
                 assert_partition_invariant(sql, &table);
             }

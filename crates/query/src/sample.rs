@@ -4,9 +4,8 @@
 //! [`group_aggregate_sampled`] answers the paper query's group phase from
 //! a deterministic row sample instead of the full scan: a systematic
 //! stratified draw of [`SampleSpec::target_rows`] row ids (one per equal
-//! stride, jittered by a seeded hash) feeds the *same* predicate /
-//! key-encoding / group-assignment kernels as the exact pipeline, but
-//! touches `target_rows` rows instead of `N`. Per group the phase keeps a
+//! stride, jittered by a seeded hash) runs through the *same* batch scan
+//! as the exact pipeline, but touches `target_rows` rows instead of `N`. Per group the phase keeps a
 //! bounded reservoir of [`SampleSpec::reservoir`] sampled rows (smallest
 //! seeded per-row priorities win) plus the exact count of sampled rows
 //! that matched, and finishes *estimates*: scaled counts, reservoir
@@ -20,11 +19,11 @@
 //!
 //! * the sampled id set is computed *before* the scan (no per-partition
 //!   RNG state), ascending by construction;
-//! * the scan mirrors the morsel discipline of [`crate::parallel`] — ids
-//!   split into `partitions` contiguous chunks, each chunk scanned with
-//!   its own local [`GroupTable`], outputs merged in ascending chunk
-//!   order so global group ids reproduce the `P = 1` first-encounter
-//!   order exactly;
+//! * the scan is the morsel scan of [`crate::parallel`] over ids — ids
+//!   split into `partitions` contiguous chunks, each chunk scanned into
+//!   a local [`GroupTable`] and merged in ascending chunk order by the
+//!   same ordered merge, so global group ids reproduce the `P = 1`
+//!   first-encounter order exactly;
 //! * reservoir membership is the `R` smallest `(priority(row), row)`
 //!   pairs of each group — a total order over the whole sample, so the
 //!   retained set cannot depend on chunk boundaries — and every estimate
@@ -55,11 +54,11 @@
 //! fewer than two retained rows report 1.0. Conservative by design: the
 //! first paint advertises its least-trustworthy group.
 
-use crate::exec::{apply_predicate, encode_keys, plan_agg_inputs, AggInputs, BATCH_ROWS};
+use crate::exec::{plan_agg_inputs, RowSource};
 use crate::group::{finish_hash, fold_hash, GroupTable, GroupedResult};
+use crate::parallel::{scan_morsel, WorkerScratch};
 use crate::plan::GroupSpec;
 use qagview_common::Result;
-use qagview_storage::selection::{gather_f64, gather_i64_as_f64, SelectionVector};
 use qagview_storage::Table;
 
 /// Two-sided 95% normal quantile used for the error bars.
@@ -160,71 +159,6 @@ fn priority(seed: u64, row: u32) -> u64 {
     finish_hash(fold_hash(seed ^ 0x2545_f491_4f6c_dd1d, u64::from(row) + 1))
 }
 
-/// What one chunk's scan produced — the sampled twin of the morsel
-/// output: local group keys plus, per selected row in ascending row
-/// order, the local gid, the row id, and each gathered aggregate input.
-struct ChunkOutput {
-    num_local_groups: usize,
-    local_keys: Vec<u64>,
-    row_gids: Vec<u32>,
-    row_ids: Vec<u32>,
-    row_vals: Vec<Vec<f64>>,
-}
-
-/// Scan one ascending id chunk through the shared predicate/keying
-/// kernels (gather paths only — sampled batches are never dense).
-fn scan_chunk(
-    spec: &GroupSpec,
-    table: &Table,
-    inputs: &AggInputs,
-    ids: &[u32],
-) -> Result<ChunkOutput> {
-    let width = spec.group_cols.len();
-    let mut gt = GroupTable::new(width);
-    let mut sel = SelectionVector::with_capacity(BATCH_ROWS);
-    let mut keys: Vec<u64> = Vec::new();
-    let mut hashes: Vec<u64> = Vec::new();
-    let mut gids: Vec<u32> = Vec::new();
-    let mut gathered: Vec<f64> = Vec::new();
-    let mut out = ChunkOutput {
-        num_local_groups: 0,
-        local_keys: Vec::new(),
-        row_gids: Vec::new(),
-        row_ids: Vec::new(),
-        row_vals: vec![Vec::new(); inputs.input_cols.len()],
-    };
-    for batch in ids.chunks(BATCH_ROWS) {
-        sel.fill_ids(batch);
-        for p in &spec.predicates {
-            apply_predicate(table, p, &mut sel)?;
-            if sel.is_empty() {
-                break;
-            }
-        }
-        if sel.is_empty() {
-            continue;
-        }
-        encode_keys(table, &spec.group_cols, &sel, None, &mut keys, &mut hashes)?;
-        gt.assign(&keys, &hashes, sel.len(), &mut gids);
-        out.row_gids.extend_from_slice(&gids);
-        out.row_ids.extend_from_slice(sel.rows());
-        for (k, &c) in inputs.input_cols.iter().enumerate() {
-            let col = table.column(c);
-            if let Some(v) = col.as_f64() {
-                gather_f64(v, &sel, &mut gathered);
-            } else if let Some(v) = col.as_i64() {
-                gather_i64_as_f64(v, &sel, &mut gathered);
-            } else {
-                unreachable!("non-numeric inputs rejected before the scan");
-            }
-            out.row_vals[k].extend_from_slice(&gathered);
-        }
-    }
-    out.num_local_groups = gt.num_groups();
-    out.local_keys = gt.key_arena().to_vec();
-    Ok(out)
-}
-
 /// One group's reservoir: parallel columns of priority / row id / row
 /// values (`num_inputs` per row, row-major).
 #[derive(Default)]
@@ -260,9 +194,10 @@ impl Reservoir {
 }
 
 /// Run the sampled group phase over `partitions` contiguous id chunks.
-/// Byte-identical for any `partitions >= 1` (see the module docs); the
-/// exact pipeline never calls this — it is the explicitly-approximate
-/// entry point behind [`crate::run_query`]'s progressive callers.
+/// Byte-identical for any `partitions >= 1` (see the module docs). The
+/// exact pipeline never calls this: it is the explicitly-approximate
+/// entry point of progressive mode, which the interactive engine calls
+/// for an approximate first paint.
 pub fn group_aggregate_sampled(
     spec: &GroupSpec,
     table: &Table,
@@ -280,43 +215,40 @@ pub fn group_aggregate_sampled(
     let p = partitions.max(1).min(sampled_rows.max(1));
     let chunk_len = sampled_rows.div_ceil(p).max(1);
 
-    // Ordered merge over ascending chunks: remap each chunk's local
-    // groups onto the global table (global first-encounter order is the
-    // P = 1 order), count every matched row, and offer it to its group's
+    // Ordered merge over ascending chunks: fold each chunk's local groups
+    // into the global table (global first-encounter order is the P = 1
+    // order), count every matched row, and offer it to its group's
     // reservoir.
     let mut gt = GroupTable::new(width);
+    let mut scratch = WorkerScratch::new(width, num_inputs);
     let mut matched: Vec<u64> = Vec::new();
     let mut reservoirs: Vec<Reservoir> = Vec::new();
-    let mut remap: Vec<u32> = Vec::new();
-    let mut remap_hashes: Vec<u64> = Vec::new();
+    let mut gids: Vec<u32> = Vec::new();
     let mut row_buf: Vec<f64> = vec![0.0; num_inputs];
-    for chunk in ids.chunks(chunk_len.max(1)) {
-        let out = scan_chunk(spec, table, &inputs, chunk)?;
-        remap_hashes.clear();
-        remap_hashes.extend(
-            out.local_keys
-                .chunks_exact(width.max(1))
-                .take(out.num_local_groups)
-                .map(|key| key.iter().fold(0u64, |h, &lane| fold_hash(h, lane))),
-        );
-        if width == 0 {
-            remap_hashes.resize(out.num_local_groups, 0);
-        }
-        gt.assign(
+    for chunk in ids.chunks(chunk_len) {
+        let out = scan_morsel(
+            spec,
+            table,
+            &inputs,
+            RowSource::Ids(chunk),
+            &mut scratch,
+            true,
+        )?;
+        gt.merge_partition(
             &out.local_keys,
-            &remap_hashes,
             out.num_local_groups,
-            &mut remap,
+            &out.row_gids,
+            &mut gids,
         );
         if gt.num_groups() > matched.len() {
             matched.resize(gt.num_groups(), 0);
             reservoirs.resize_with(gt.num_groups(), Reservoir::default);
         }
-        for (i, (&lg, &rid)) in out.row_gids.iter().zip(&out.row_ids).enumerate() {
-            let g = remap[lg as usize] as usize;
+        for (i, (&g, &rid)) in gids.iter().zip(&out.row_ids).enumerate() {
+            let g = g as usize;
             matched[g] += 1;
-            for (k, slot) in row_buf.iter_mut().enumerate() {
-                *slot = out.row_vals[k][i];
+            for (slot, vals) in row_buf.iter_mut().zip(&out.row_vals) {
+                *slot = vals[i];
             }
             reservoirs[g].offer(cap, priority(sample.seed, rid), rid, &row_buf, num_inputs);
         }
@@ -422,6 +354,7 @@ mod tests {
     use crate::exec::group_aggregate;
     use crate::parser::parse;
     use crate::plan::bind;
+    use crate::testutil::random_table;
     use qagview_storage::{Cell, ColumnType, Schema, TableBuilder};
 
     fn skewed_table(rows: usize) -> Table {
@@ -529,6 +462,37 @@ mod tests {
                 "{sql}"
             );
             assert_eq!(sampled.stats.sampled_rows, 4_000);
+        }
+    }
+
+    #[test]
+    fn full_sample_matches_exact_bits_on_the_adversarial_table() {
+        // NaN, signed zeros and mixed magnitudes, with a predicate that
+        // drops some batches whole: the full sample with a roomy
+        // reservoir replays the exact scan's row order for AVG / COUNT /
+        // MIN / MAX at every partition count.
+        let table = random_table(7, 30_000);
+        let spec = SampleSpec {
+            seed: 3,
+            target_rows: usize::MAX,
+            reservoir: usize::MAX,
+        };
+        for sql in [
+            "SELECT g, s, AVG(x) AS val FROM t WHERE band = 1 GROUP BY g, s ORDER BY val DESC",
+            "SELECT s, flag, COUNT(*) AS val FROM t WHERE n >= 0 GROUP BY s, flag",
+            "SELECT g, MIN(x) AS val FROM t WHERE band = 0 GROUP BY g HAVING count(*) > 3",
+            "SELECT s, MAX(x) AS val FROM t GROUP BY s HAVING min(n) < 0 ORDER BY val ASC",
+            "SELECT AVG(n) AS val FROM t WHERE band = 1",
+        ] {
+            let bound = bind(&parse(sql).unwrap(), &table).unwrap();
+            let exact = group_aggregate(&bound.group, &table)
+                .unwrap()
+                .result_fingerprint();
+            for p in [1usize, 2, 7, 16] {
+                let sampled = group_aggregate_sampled(&bound.group, &table, &spec, p).unwrap();
+                assert_eq!(sampled.result.result_fingerprint(), exact, "P={p}: {sql}");
+                assert_eq!(sampled.stats.sampled_rows, 30_000);
+            }
         }
     }
 

@@ -108,11 +108,11 @@ fn limit_truncates_the_relation_but_not_its_order() {
 #[test]
 fn session_threshold_slider_feeds_summarization_from_the_cached_group_phase() {
     // The §6 interactive loop: the user drags the HAVING threshold and
-    // re-summarizes. Inside a QuerySession only the first run scans the
-    // table; every slider position must nevertheless produce an answer
-    // relation — and a summary — identical to a cold re-execution.
-    let c = catalog();
-    let mut session = QuerySession::new(&c);
+    // re-summarizes. The engine's group-phase cache scans the table only
+    // for the first slider position; every position must nevertheless
+    // produce an answer relation — and a summary — identical to a cold
+    // re-execution.
+    let engine = Explorer::new(catalog());
     let sql_at = |threshold: usize| {
         format!(
             "SELECT genre, gender, occupation, AVG(rating) AS val FROM ratings \
@@ -122,16 +122,14 @@ fn session_threshold_slider_feeds_summarization_from_the_cached_group_phase() {
     };
     for threshold in [0, 1, 0, 1] {
         let sql = sql_at(threshold);
-        let warm = session.run(&sql).unwrap();
-        let cold = run_query(&c, &sql).unwrap();
-        assert_eq!(warm, cold, "threshold {threshold}");
-        if warm.rows.len() < 2 {
+        let warm_answers = engine.answer_relation(&sql).unwrap();
+        let cold_answers = answers_from_query(&run_query(engine.catalog(), &sql).unwrap()).unwrap();
+        assert_eq!(*warm_answers, cold_answers, "threshold {threshold}");
+        if warm_answers.len() < 2 {
             continue;
         }
-        let warm_answers = answers_from_query(&warm).unwrap();
-        let cold_answers = answers_from_query(&cold).unwrap();
         let l = warm_answers.len().min(4);
-        let sol_warm = Summarizer::new(&warm_answers, l)
+        let sol_warm = Summarizer::new(&*warm_answers, l)
             .unwrap()
             .hybrid(2, 0)
             .unwrap();
@@ -141,12 +139,12 @@ fn session_threshold_slider_feeds_summarization_from_the_cached_group_phase() {
             .unwrap();
         assert_eq!(sol_warm.patterns(), sol_cold.patterns());
     }
+    let groups = engine.stats().group_phase;
     assert_eq!(
-        session.cache_misses(),
-        1,
+        groups.misses, 1,
         "only the first slider position may scan the table"
     );
-    assert_eq!(session.cache_hits(), 3);
+    assert_eq!(groups.hits, 3);
 }
 
 #[test]
