@@ -4,7 +4,7 @@
 //!
 //! The paper's claim for all of them: "efficiency and quality comparable or
 //! worse than the basic" algorithms — these benches measure the efficiency
-//! half; `paper-experiments fig5` reports the quality half.
+//! half; `paper_experiments fig5` reports the quality half.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qagview_bench::movielens_answers;

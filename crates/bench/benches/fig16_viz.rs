@@ -3,7 +3,7 @@
 //!
 //! Paper shape: matching solves in <10 ms where brute force needs >2 s at
 //! k = 10; the matched layout strictly dominates the default on total
-//! distance and crossings (series printed by `paper-experiments fig16`).
+//! distance and crossings (series printed by `paper_experiments fig16`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qagview::prelude::*;

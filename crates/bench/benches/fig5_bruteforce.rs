@@ -3,7 +3,7 @@
 //! The paper's qualitative result: BF explodes with k (2.5 h at k=4 on
 //! their prototype) while every heuristic stays interactive; the heuristics'
 //! values are near-optimal (checked in `qagview-core` tests, value series in
-//! `paper-experiments fig5`).
+//! `paper_experiments fig5`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qagview_bench::example_1_1_answers;

@@ -13,7 +13,7 @@ use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     // A 1/4-scale workload keeps the bench loop tractable while preserving
-    // the shape; `paper-experiments fig9` runs the full N ≈ 51k point.
+    // the shape; `paper_experiments fig9` runs the full N ≈ 51k point.
     let answers = tpcds_answers(72_010, 1, 7).expect("workload");
     let mut group = c.benchmark_group("fig9_tpcds");
     group

@@ -40,13 +40,7 @@
 //! * **session tick** — end-to-end command latency of the owned
 //!   exploration engine on the same table: a warm `SetThreshold` slider
 //!   tick and a warm `SetK` knob move (median of 21) vs rebuilding the
-//!   pipeline cold at the same state (warm-vs-cold bar ≥ 10×);
-//! * **progressive first paint** — the sampled approximate first paint of
-//!   progressive mode (`FidelityMode::Approximate`, refinement worker
-//!   disabled so the timing is pure) vs the exact cold open of the same
-//!   session at N = 5M. One refined session is first asserted
-//!   byte-identical (f64 bits) to a store-less cold exact session at the
-//!   same state; the acceptance bar is a ≥ 50× first-paint speedup.
+//!   pipeline cold at the same state (warm-vs-cold bar ≥ 10×).
 //!
 //! Methodology: each timed section reports the best of `reps` runs (min
 //! wall clock), so scheduler noise only ever inflates, never deflates, the
@@ -59,8 +53,8 @@ use qagview_core::{
 };
 use qagview_datagen::movielens::{self, MovieLensConfig};
 use qagview_interactive::{
-    store, DescentEngine, ExploreCommand, Explorer, ExplorerConfig, Fidelity, FidelityMode,
-    PrecomputeConfig, Precomputed, SampleSpec, SessionSpec,
+    store, DescentEngine, ExploreCommand, Explorer, ExplorerConfig, PrecomputeConfig, Precomputed,
+    SessionSpec,
 };
 use qagview_lattice::{AnswerSet, CandidateIndex};
 use qagview_query::{
@@ -668,143 +662,6 @@ fn bench_session_tick(all_ok: &mut bool) -> String {
     )
 }
 
-/// The `progressive_first_paint` section: what progressive mode buys at
-/// N = 5M — a seeded sampled first paint (approximate session, refinement
-/// worker disabled so nothing exact runs concurrently on the timed arm)
-/// versus the exact cold open of the same query.
-///
-/// Identity comes first: one approximate session is promoted via
-/// `AwaitExact` and its refined view is asserted byte-identical (summary,
-/// plot, per-cluster f64 sum/avg bits) to a store-less cold exact session
-/// at the same state. Only then are both arms timed, each on a fresh
-/// engine over the `Arc`-shared catalog so neither sees a warm cache.
-fn bench_progressive_first_paint(all_ok: &mut bool) -> String {
-    const ROWS: usize = 5_000_000;
-    let sql = "SELECT hdec, agegrp, gender, occupation, AVG(rating) AS val FROM ratingtable \
-               GROUP BY hdec, agegrp, gender, occupation \
-               HAVING count(*) > 10 ORDER BY val DESC";
-    let t = Instant::now();
-    let mut b = TableBuilder::with_capacity(movielens::rating_schema(), ROWS);
-    for row in movielens::iter_rows(&MovieLensConfig {
-        ratings: ROWS,
-        ..Default::default()
-    }) {
-        b.push_row(row).expect("streamed row");
-    }
-    let mut catalog = Catalog::new();
-    catalog.register("ratingtable", b.finish());
-    let catalog = Arc::new(catalog);
-    let gen_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    // The sampled scan is memory-latency-bound (strided gathers across a
-    // 5M-row table run ~15x slower per row than the sequential exact
-    // scan), so the first-paint sample is sized for this N: 1024 rows
-    // keep the whole open around a millisecond while still estimating
-    // hundreds of groups. The spec is reported in the JSON section.
-    let cfg = ExplorerConfig {
-        sample: SampleSpec {
-            target_rows: 1_024,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let fresh_engine = || Arc::new(Explorer::from_shared(Arc::clone(&catalog), cfg.clone()));
-    let approx_spec = || SessionSpec {
-        sql: Some(sql.into()),
-        fidelity: FidelityMode::Approximate,
-        background_refine: false,
-        ..Default::default()
-    };
-    let exact_spec = || SessionSpec {
-        sql: Some(sql.into()),
-        ..Default::default()
-    };
-    let sample = cfg.sample;
-
-    // Identity before timing: promote one approximate session and hold it
-    // against the store-less cold exact path at the same state.
-    let engine = fresh_engine();
-    let mut s = engine
-        .open_session(approx_spec())
-        .expect("approximate open");
-    let approx = s.apply(ExploreCommand::SetK(6)).expect("approximate SetK");
-    let (rel_err, confidence) = match approx.fidelity {
-        Fidelity::Approximate {
-            rel_err,
-            confidence,
-        } => (rel_err, confidence),
-        ref other => panic!("approximate session served {other:?}"),
-    };
-    let sampled_answers = approx.summary.total;
-    let refined = s.apply(ExploreCommand::AwaitExact).expect("AwaitExact");
-    assert_eq!(refined.fidelity, Fidelity::Refined, "promotion must refine");
-    let engine2 = fresh_engine();
-    let mut s2 = engine2.open_session(exact_spec()).expect("exact open");
-    let exact = s2.apply(ExploreCommand::SetK(6)).expect("exact SetK");
-    assert_eq!(
-        refined.summary, exact.summary,
-        "refined view diverges from the cold exact path"
-    );
-    assert_eq!(refined.plot, exact.plot, "guidance plots diverge");
-    for (a, b) in refined
-        .summary
-        .clusters
-        .iter()
-        .zip(exact.summary.clusters.iter())
-    {
-        assert_eq!(a.sum.to_bits(), b.sum.to_bits(), "cluster sum bits");
-        assert_eq!(a.avg.to_bits(), b.avg.to_bits(), "cluster avg bits");
-    }
-    assert_eq!(refined.summary.avg.to_bits(), exact.summary.avg.to_bits());
-    let exact_answers = exact.summary.total;
-    drop((s, s2, engine, engine2));
-
-    // Timed arms: a fresh engine per rep — both arms pay their pipeline
-    // from nothing, the only difference is the group-phase fidelity.
-    let first_paint_ms = time_median_ms(7, || {
-        fresh_engine()
-            .open_session(approx_spec())
-            .expect("sampled first paint")
-    });
-    let exact_cold_ms = time_median_ms(3, || {
-        fresh_engine()
-            .open_session(exact_spec())
-            .expect("exact cold open")
-    });
-    let speedup = exact_cold_ms / first_paint_ms;
-
-    eprintln!(
-        "progressive first paint ({ROWS} rows, gen {gen_ms:.0} ms, sample {} rows): \
-         sampled open {first_paint_ms:.3} ms ({sampled_answers} est. answers, \
-         rel_err {rel_err:.4} @ {confidence:.2}), exact cold open {exact_cold_ms:.2} ms \
-         ({exact_answers} answers) — {speedup:.0}x",
-        sample.target_rows,
-    );
-    if speedup < 50.0 {
-        *all_ok = false;
-        eprintln!("  WARNING: sampled first paint below the 50x acceptance bar");
-    }
-
-    format!(
-        r#"  "progressive_first_paint": {{
-    "what": "sampled approximate first paint (FidelityMode::Approximate, refinement worker off) vs exact cold open of the same session at N = 5M; one refined session asserted byte-identical to a store-less cold exact session before timing",
-    "sql": "SELECT hdec, agegrp, gender, occupation, AVG(rating) AS val FROM ratingtable GROUP BY hdec, agegrp, gender, occupation HAVING count(*) > 10 ORDER BY val DESC",
-    "rows": {ROWS},
-    "answers_exact": {exact_answers},
-    "answers_sampled": {sampled_answers},
-    "sample": {{ "target_rows": {target}, "reservoir": {reservoir} }},
-    "rel_err": {rel_err:.6},
-    "confidence": {confidence:.2},
-    "gen_ms": {gen_ms:.1},
-    "first_paint_ms": {first_paint_ms:.4},
-    "exact_cold_ms": {exact_cold_ms:.3},
-    "speedup": {speedup:.2}
-  }}"#,
-        target = sample.target_rows,
-        reservoir = sample.reservoir,
-    )
-}
-
 fn main() {
     let threads = std::thread::available_parallelism()
         .map(|t| t.get())
@@ -971,14 +828,13 @@ fn main() {
     let n_scaling = bench_n_scaling(threads, &mut all_ok);
     let session_tick = bench_session_tick(&mut all_ok);
     let store_warm_start = bench_store_warm_start(&mut all_ok);
-    let progressive = bench_progressive_first_paint(&mut all_ok);
     let plane_build = format!(
         "  \"plane_build\": {{\n    \"what\": \"cold (k,D)-plane precomputation (k in [1,50], D in [0,m], pool=2*k_max, Arc-shared index): per-round re-eval engine vs merge-frontier engine, all stored solutions asserted byte-identical first\",\n    \"workloads\": [\n{}\n    ]\n  }}",
         plane_sections.join(",\n")
     );
 
     let json = format!(
-        "{{\n  \"bench\": \"hotpath_baseline\",\n  \"n_target\": {N},\n  \"threads\": {threads},\n{query_exec},\n{n_scaling},\n{session_tick},\n{store_warm_start},\n{progressive},\n{plane_build},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"hotpath_baseline\",\n  \"n_target\": {N},\n  \"threads\": {threads},\n{query_exec},\n{n_scaling},\n{session_tick},\n{store_warm_start},\n{plane_build},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         sections.join(",\n")
     );
     // Always resolve against the repository root — running from a crate

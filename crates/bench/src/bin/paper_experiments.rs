@@ -1,13 +1,12 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! cargo run --release -p qagview-bench --bin paper-experiments            # all
-//! cargo run --release -p qagview-bench --bin paper-experiments -- fig5 fig6
+//! cargo run --release -p qagview-bench --bin paper_experiments            # all
+//! cargo run --release -p qagview-bench --bin paper_experiments -- fig5 fig6
 //! ```
 //!
 //! Output is the textual equivalent of each figure: the same rows/series
-//! the paper plots, with this reproduction's measured values. EXPERIMENTS.md
-//! records the paper-vs-measured comparison.
+//! the paper plots, with this reproduction's measured values.
 
 use qagview::baselines::{
     decision_tree, disc_diverse_subset, diversified_topk, mmr_select, smart_drilldown, RuleSource,
@@ -15,7 +14,9 @@ use qagview::baselines::{
 use qagview::prelude::*;
 use qagview::userstudy::{run_study, StudyConfig, StudyReport};
 use qagview::viz::{band_crossings, total_distance};
-use qagview_bench::{example_1_1_answers, movielens_answers, synthetic_answers, tpcds_answers};
+use qagview_bench::{
+    example_1_1_answers, movielens_answers, study_answers, synthetic_answers, tpcds_answers,
+};
 use qagview_core::{
     bottom_up, brute_force, fixed_order, BottomUpOptions, BruteForceOptions, EvalMode, Seeding,
 };
@@ -683,7 +684,7 @@ fn table1() {
         "table1+table2",
         "simulated user study (16 subjects, 3 task groups)",
     );
-    let answers = movielens_answers(4, 30, 42).expect("workload");
+    let answers = study_answers().expect("workload");
     println!("workload: n = {} answer groups", answers.len());
     let report = run_study(&answers, &StudyConfig::default()).expect("study");
     print!("{}", report.render());

@@ -59,10 +59,6 @@ fn enforced(doc: &Json) -> Vec<(String, f64)> {
         doc.path("store_warm_start.speedup"),
     );
     push(
-        "progressive_first_paint.speedup".into(),
-        doc.path("progressive_first_paint.speedup"),
-    );
-    push(
         "serve_tick.latency_headroom".into(),
         doc.path("serve_tick.latency_headroom"),
     );

@@ -1,7 +1,7 @@
 //! Shared workload builders for the benchmark harness.
 //!
 //! Each figure of the paper's evaluation is regenerated by one Criterion
-//! bench (`benches/figN_*.rs`) plus one section of the `paper-experiments`
+//! bench (`benches/figN_*.rs`) plus one section of the `paper_experiments`
 //! binary, all drawing their workloads from this module so the two paths
 //! measure identical inputs.
 
@@ -16,7 +16,7 @@ use qagview_datagen::synthetic::{answer_set, SyntheticConfig};
 use qagview_datagen::tpcds::{self, StoreSalesConfig};
 use qagview_interactive::Explorer;
 use qagview_lattice::AnswerSet;
-use qagview_storage::Catalog;
+use qagview_storage::{Catalog, Table};
 
 /// The repository root, resolved from this crate's manifest directory
 /// (`crates/bench` → two levels up) at compile time.
@@ -44,8 +44,6 @@ pub fn movielens_answers(m: usize, having: usize, seed: u64) -> Result<AnswerSet
         seed,
         ..Default::default()
     })?;
-    let mut catalog = Catalog::new();
-    catalog.register("ratingtable", table);
     let attrs = [
         "hdec",
         "agegrp",
@@ -69,7 +67,22 @@ pub fn movielens_answers(m: usize, having: usize, seed: u64) -> Result<AnswerSet
          WHERE genres_adventure = 1 \
          GROUP BY {group} HAVING count(*) > {having} ORDER BY val DESC"
     );
-    Ok((*Explorer::new(catalog).answer_relation(&sql)?).clone())
+    answer_relation("ratingtable", table, &sql)
+}
+
+/// The relation of the simulated user study (Tables 1 and 2): the paper's
+/// m = 4 query over the default MovieLens RatingTable, every genre,
+/// `HAVING count(*) > 30`. It holds more than 60 answers, so the study's
+/// paper parameters (L up to 50) fit.
+pub fn study_answers() -> Result<AnswerSet> {
+    let table = movielens::generate(&MovieLensConfig::default())?;
+    answer_relation(
+        "ratingtable",
+        table,
+        "SELECT hdec, agegrp, gender, occupation, AVG(rating) AS val \
+         FROM ratingtable GROUP BY hdec, agegrp, gender, occupation \
+         HAVING count(*) > 30 ORDER BY val DESC",
+    )
 }
 
 /// The paper's Example 1.1 workload: m = 4 (hdec, agegrp, gender,
@@ -89,8 +102,6 @@ pub fn synthetic_answers(n: usize, m: usize, seed: u64) -> Result<AnswerSet> {
 /// answer groups.
 pub fn tpcds_answers(rows: usize, having: usize, seed: u64) -> Result<AnswerSet> {
     let table = tpcds::generate(&StoreSalesConfig { rows, seed })?;
-    let mut catalog = Catalog::new();
-    catalog.register("store_sales", table);
     let sql = format!(
         "SELECT item_category, month, demo_gender, demo_marital, demo_education, \
          channel, demo_credit, year, AVG(net_profit) AS val \
@@ -98,7 +109,14 @@ pub fn tpcds_answers(rows: usize, having: usize, seed: u64) -> Result<AnswerSet>
          demo_education, channel, demo_credit, year \
          HAVING count(*) > {having} ORDER BY val DESC"
     );
-    Ok((*Explorer::new(catalog).answer_relation(&sql)?).clone())
+    answer_relation("store_sales", table, &sql)
+}
+
+/// The answer relation of `sql` over `table` registered as `name`.
+fn answer_relation(name: &str, table: Table, sql: &str) -> Result<AnswerSet> {
+    let mut catalog = Catalog::new();
+    catalog.register(name, table);
+    Ok((*Explorer::new(catalog).answer_relation(sql)?).clone())
 }
 
 #[cfg(test)]
@@ -117,6 +135,13 @@ mod tests {
         for w in s.vals().windows(2) {
             assert!(w[0] >= w[1]);
         }
+    }
+
+    #[test]
+    fn study_workload_fits_the_paper_study_parameters() {
+        let s = study_answers().unwrap();
+        assert!(s.len() > 60, "need a sizable relation, got {}", s.len());
+        assert_eq!(s.arity(), 4);
     }
 
     #[test]

@@ -13,32 +13,30 @@
 //! A restored session's first response differs from the resident one in
 //! provenance only, never in the view.
 //!
-//! # File layout (format version 2)
+//! # File layout (format version 3)
 //!
 //! Same envelope discipline as the `.qag` plane store: little-endian
 //! integers, floats as raw bit patterns.
 //!
 //! ```text
 //! [ 0.. 8)  magic            b"QAGSESSN"
-//! [ 8..12)  format version   u32 (currently 2)
+//! [ 8..12)  format version   u32 (currently 3)
 //! [12..20)  payload checksum u64 — wire::checksum64 of every later byte
 //! [20..  )  payload:
 //!   state   flag u8; when present: sql str · k/l/d u64 ·
 //!           threshold (flag u8 + f64 bits) · drill (flag u8 + arity u32
-//!           + slot u32 run) · fidelity u8 (0 exact, 1 approximate)
+//!           + slot u32 run)
 //!   last    flag u8; when present: relation fingerprint u64 · solution
 //!           (covered u64 · sum f64 bits · cluster count u32 · per
 //!           cluster: pattern arity u32 + slots · member count u32 +
 //!           member u32 run · sum f64 bits)
 //!   budget  flag u8 + u64 (the session's memory budget override)
 //!   retained_bytes u64
-//!   default_fidelity u8 · background_refine u8
 //! ```
 //!
-//! Version 1 files (no fidelity bytes) predate progressive mode; the
-//! serving layer that wrote them never outlived the upgrade, so they are
-//! rejected as [`StoreErrorKind::UnsupportedVersion`] — a clean "session
-//! unknown", not corruption.
+//! Versions 1 and 2 (version 2 carried the fidelity bytes of the removed
+//! sampled mode) are rejected as [`StoreErrorKind::UnsupportedVersion`] —
+//! a clean "session unknown", not corruption.
 //!
 //! # Failure model
 //!
@@ -48,7 +46,7 @@
 //! [`QagError::Store`]; the serving layer treats a corrupt or missing
 //! checkpoint as "session unknown", which is a refusal, not corruption.
 
-use crate::explore::{ExploreSession, ExploreState, Explorer, FidelityMode};
+use crate::explore::{ExploreSession, ExploreState, Explorer};
 use crate::store::{io_error, write_image};
 use qagview_common::io::StoreIo;
 use qagview_common::wire::{checksum64, Reader, Writer};
@@ -61,7 +59,7 @@ use std::sync::Arc;
 /// Magic bytes identifying a session-checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"QAGSESSN";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 /// Bytes before the payload: magic (8) + version (4) + checksum (8).
 const HEADER_BYTES: usize = 20;
 
@@ -94,11 +92,6 @@ pub struct SessionCheckpoint {
     /// Bytes the session had retained in shared caches at checkpoint
     /// time (informational — recomputed by the next command).
     pub retained_bytes: u64,
-    /// Fidelity the session's first `SetQuery` starts in (matters only
-    /// for sessions checkpointed before their first query).
-    pub default_fidelity: FidelityMode,
-    /// Whether approximate views spawn the background refinement worker.
-    pub background_refine: bool,
 }
 
 impl SessionCheckpoint {
@@ -131,7 +124,6 @@ impl SessionCheckpoint {
                         put_pattern(&mut w, p);
                     }
                 }
-                put_fidelity(&mut w, state.fidelity);
             }
         }
         match &self.last {
@@ -150,8 +142,6 @@ impl SessionCheckpoint {
             }
         }
         w.put_u64(self.retained_bytes);
-        put_fidelity(&mut w, self.default_fidelity);
-        w.put_u8(u8::from(self.background_refine));
         let sum = checksum64(&w.as_bytes()[HEADER_BYTES..]);
         w.patch_u64(checksum_at, sum);
         w.into_bytes()
@@ -199,7 +189,6 @@ impl SessionCheckpoint {
                     1 => Some(read_pattern(&mut r)?),
                     other => return Err(bad_flag("drill", other)),
                 };
-                let fidelity = read_fidelity(&mut r)?;
                 Some(ExploreState {
                     sql,
                     k,
@@ -207,7 +196,6 @@ impl SessionCheckpoint {
                     d,
                     threshold,
                     drill,
-                    fidelity,
                 })
             }
             other => return Err(bad_flag("state", other)),
@@ -227,12 +215,6 @@ impl SessionCheckpoint {
             other => return Err(bad_flag("budget", other)),
         };
         let retained_bytes = r.read_u64()?;
-        let default_fidelity = read_fidelity(&mut r)?;
-        let background_refine = match r.read_u8()? {
-            0 => false,
-            1 => true,
-            other => return Err(bad_flag("background_refine", other)),
-        };
         if !r.is_exhausted() {
             return Err(QagError::store(
                 StoreErrorKind::Corrupt,
@@ -244,8 +226,6 @@ impl SessionCheckpoint {
             last,
             budget_bytes,
             retained_bytes,
-            default_fidelity,
-            background_refine,
         })
     }
 
@@ -277,21 +257,6 @@ fn bad_flag(what: &str, value: u8) -> QagError {
         StoreErrorKind::Corrupt,
         format!("checkpoint {what} flag byte is {value}, expected 0 or 1"),
     )
-}
-
-fn put_fidelity(w: &mut Writer, f: FidelityMode) {
-    w.put_u8(match f {
-        FidelityMode::Exact => 0,
-        FidelityMode::Approximate => 1,
-    });
-}
-
-fn read_fidelity(r: &mut Reader<'_>) -> Result<FidelityMode> {
-    match r.read_u8()? {
-        0 => Ok(FidelityMode::Exact),
-        1 => Ok(FidelityMode::Approximate),
-        other => Err(bad_flag("fidelity", other)),
-    }
 }
 
 fn put_pattern(w: &mut Writer, p: &Pattern) {
@@ -356,7 +321,6 @@ mod tests {
                 d: 2,
                 threshold: Some(12.5),
                 drill: Some(Pattern::new(vec![3, STAR, 7])),
-                fidelity: FidelityMode::Approximate,
             }),
             last: Some((
                 0xdead_beef_cafe_f00d,
@@ -379,8 +343,6 @@ mod tests {
             )),
             budget_bytes: Some(1 << 20),
             retained_bytes: 77_000,
-            default_fidelity: FidelityMode::Approximate,
-            background_refine: false,
         }
     }
 
@@ -401,8 +363,6 @@ mod tests {
             last: None,
             budget_bytes: None,
             retained_bytes: 0,
-            default_fidelity: FidelityMode::Exact,
-            background_refine: true,
         };
         assert_eq!(SessionCheckpoint::from_bytes(&cp.to_bytes()).unwrap(), cp);
     }

@@ -3,9 +3,9 @@
 //! The paper's whole point is one *interactive loop* (§6, Fig. 2): the
 //! analyst moves a `HAVING` threshold or a `(k, L, D)` knob and expects an
 //! instant refreshed summary. [`Explorer`] owns everything that loop
-//! needs — a shared [`Catalog`] plus three fingerprint-keyed cache layers —
-//! behind one `Send + Sync` value, so sessions on any number of serving
-//! threads share every expensive artifact:
+//! needs — a shared [`Catalog`] plus four fingerprint-keyed in-memory
+//! cache layers — behind one `Send + Sync` value, so sessions on any
+//! number of serving threads share every expensive artifact:
 //!
 //! 1. **group phases** — [`qagview_query::GroupedResult`]s keyed by
 //!    `(TableId, GroupSpec fingerprint)`; a threshold tick never rescans
@@ -16,8 +16,10 @@
 //! 3. **parameter planes** — [`Precomputed`] `(k, D)` planes keyed by the
 //!    answer set's *content* fingerprint and `(L, k_max)`, so even a
 //!    threshold move that happens not to change the answer relation reuses
-//!    the whole plane; and **summarizers** — owned
-//!    [`qagview_core::Summarizer`]s keyed the same way, serving
+//!    the whole plane, backed by the optional `.qag` plane store
+//!    ([`ExplorerConfig::store_dir`]);
+//! 4. **summarizers** — owned [`qagview_core::Summarizer`]s keyed by the
+//!    drill focus's content fingerprint and `L`, serving
 //!    [`ExploreCommand::DrillDown`] focus views.
 //!
 //! [`ExploreSession`] holds the current exploration state
@@ -37,11 +39,10 @@ use crate::plot::{DSeries, GuidancePlot};
 use crate::precompute::{PrecomputeConfig, Precomputed};
 use qagview_common::io::{RealIo, RetryPolicy, StoreIo};
 use qagview_common::{QagError, Result, StoreErrorKind};
-use qagview_core::{Solution, SolutionCluster, Summarizer, DEFAULT_POOL_FACTOR};
-use qagview_lattice::{AnswerSet, AnswerSetBuilder, Pattern, TupleId, STAR};
+use qagview_core::{Solution, Summarizer, DEFAULT_POOL_FACTOR};
+use qagview_lattice::{AnswerSet, AnswerSetBuilder, Pattern, STAR};
 use qagview_query::{
-    bind, group_aggregate_auto, group_aggregate_sampled, parse, BoundQuery, GroupTable,
-    GroupedResult, ParallelScanStats, SampleSpec, SampleStats,
+    bind, group_aggregate_auto, parse, BoundQuery, GroupTable, GroupedResult, ParallelScanStats,
 };
 use qagview_storage::{Catalog, Table, TableId};
 use qagview_viz::Transition;
@@ -54,50 +55,6 @@ pub const DEFAULT_K: usize = 4;
 pub const DEFAULT_L: usize = 8;
 /// Default `D` of a fresh session.
 pub const DEFAULT_D: usize = 2;
-
-/// Which pipeline a session *asks for* — the progressive-mode knob.
-///
-/// [`FidelityMode::Exact`] runs the full scan + exact plane build every
-/// view; [`FidelityMode::Approximate`] first-paints from a seeded
-/// per-group reservoir sample of the base table ([`SampleSpec`]) and
-/// relies on [`ExploreCommand::AwaitExact`] (or the background refinement
-/// worker) to promote the view to exact later. The mode is part of
-/// [`ExploreState`], so replaying a command log reproduces the same
-/// fidelity decisions byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FidelityMode {
-    /// The exact pipeline: full scan, exact answers, exact plane.
-    #[default]
-    Exact,
-    /// The sampled pipeline: estimated answers with error bounds.
-    Approximate,
-}
-
-/// How faithful a served response is to the exact pipeline — the typed
-/// answer to "can I trust these numbers yet?".
-///
-/// `Approximate` carries the sampling layer's error envelope:
-/// `rel_err` is the largest estimated relative standard error of any
-/// group mean in the answer relation (capped at 1.0; see
-/// [`SampleStats`]), `confidence` the normal-approximation level that
-/// envelope is stated at. `Refined` marks the response that *promoted*
-/// an approximate session to exact — its summary is byte-identical to
-/// what a cold exact session would serve, and the transition diffs the
-/// approximate summary against the exact one.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Fidelity {
-    /// Served by the exact pipeline.
-    Exact,
-    /// Served by the sampled pipeline; numbers are estimates.
-    Approximate {
-        /// Worst estimated relative standard error across groups (≤ 1.0).
-        rel_err: f64,
-        /// Confidence level of the error estimate (e.g. 0.95).
-        confidence: f64,
-    },
-    /// This response promoted an approximate view to exact.
-    Refined,
-}
 
 /// Tuning knobs of an [`Explorer`] — cache bounds, plane shape, and the
 /// optional persistent plane store.
@@ -149,11 +106,6 @@ pub struct ExplorerConfig {
     /// production (the default), a [`qagview_common::FaultIo`] under
     /// fault-injection tests.
     pub store_io: Arc<dyn StoreIo>,
-    /// Shape of the sampled group phase serving
-    /// [`FidelityMode::Approximate`] views: seed, target sample size, and
-    /// per-group reservoir capacity. Part of the approximate cache keys,
-    /// so engines configured differently never share sampled artifacts.
-    pub sample: SampleSpec,
 }
 
 impl Default for ExplorerConfig {
@@ -171,7 +123,6 @@ impl Default for ExplorerConfig {
             retry: RetryPolicy::default(),
             session_budget_bytes: None,
             store_io: Arc::new(RealIo),
-            sample: SampleSpec::default(),
         }
     }
 }
@@ -282,14 +233,6 @@ pub enum Degradation {
         /// Which layer was recovered.
         layer: CacheLayer,
     },
-    /// Promoting an approximate view to exact failed (background worker
-    /// error/panic, or the inline exact rebuild was refused — e.g. by the
-    /// session budget). The session keeps serving the approximate view
-    /// with its error bounds; it is never silently relabeled exact.
-    RefinementFailed {
-        /// Human-readable cause, for provenance surfaces and logs.
-        reason: String,
-    },
 }
 
 /// Cumulative counters of every [`Explorer`] cache layer.
@@ -334,14 +277,9 @@ pub struct CacheProvenance {
     pub plane_store: Option<CacheOutcome>,
     /// Drill-down summarizer (only consulted while a drill is active).
     pub summarizer: Option<CacheOutcome>,
-    /// Fidelity of the pipeline that produced this response's artifacts:
-    /// [`Fidelity::Approximate`] when the group phase was sampled,
-    /// [`Fidelity::Refined`] on the command that promoted an approximate
-    /// session to exact, [`Fidelity::Exact`] otherwise.
-    pub fidelity: Fidelity,
     /// Every graceful degradation this command took (store retries,
-    /// dropped write-backs, plane sheds, poison recoveries, failed
-    /// refinements). Empty on the happy path.
+    /// dropped write-backs, plane sheds, poison recoveries). Empty on the
+    /// happy path.
     pub degradations: Vec<Degradation>,
     /// Cumulative hits/misses/evictions per layer, after this command.
     pub stats: ExplorerStats,
@@ -386,11 +324,6 @@ pub struct SummaryView {
     pub l: usize,
     /// Effective distance parameter (the session `D` capped at `m`).
     pub d: usize,
-    /// Whether the numbers in this summary are exact or sampled
-    /// estimates. Never [`Fidelity::Refined`]: a refined command serves
-    /// the *exact* summary (byte-identical to a cold exact session), so
-    /// the promotion is visible on [`ExploreResponse::fidelity`] only.
-    pub fidelity: Fidelity,
 }
 
 /// The full exploration state a response was computed from. Feeding the
@@ -411,8 +344,6 @@ pub struct ExploreState {
     pub threshold: Option<f64>,
     /// Focus pattern of an active drill-down (`None` = overview).
     pub drill: Option<Pattern>,
-    /// Which pipeline serves this state: exact, or sampled-first-paint.
-    pub fidelity: FidelityMode,
 }
 
 /// Typed session commands — the verbs of the §6 interactive loop.
@@ -431,16 +362,6 @@ pub enum ExploreCommand {
     /// Focus on the answers covered by a pattern and re-summarize within
     /// (an all-`∗` pattern returns to the overview).
     DrillDown(Pattern),
-    /// Switch the session between the exact and the sampled pipeline
-    /// (query and knobs are kept; the relation changes, so no transition).
-    SetFidelity(FidelityMode),
-    /// Promote an approximate session to exact: join the background
-    /// refinement worker (if any), serve the exact view, and diff it
-    /// against the approximate summary through the transition machinery.
-    /// On an exact session this is an idempotent re-view. If the exact
-    /// rebuild fails, the session stays approximate and the failure is
-    /// recorded as [`Degradation::RefinementFailed`] — never wrong-exact.
-    AwaitExact,
 }
 
 /// The engine's answer to one command.
@@ -456,17 +377,13 @@ pub struct ExploreResponse {
     /// computed over the identical relation (parameter nudges); `None`
     /// right after the relation itself changed.
     pub transition: Option<Transition>,
-    /// How faithful this response is: mirrors the summary's fidelity,
-    /// except on the command that promoted an approximate session to
-    /// exact, which reports [`Fidelity::Refined`] over an exact summary.
-    pub fidelity: Fidelity,
     /// Which cache layers answered, and the cumulative counters.
     pub provenance: CacheProvenance,
 }
 
 impl ExploreResponse {
     /// Whether two responses show the user the same thing: state, summary,
-    /// plot, transition, and fidelity all equal. Cache provenance is
+    /// plot, and transition all equal. Cache provenance is
     /// deliberately excluded — a warm and a cold run of the same state
     /// must compare equal under this method.
     pub fn same_view(&self, other: &ExploreResponse) -> bool {
@@ -474,7 +391,6 @@ impl ExploreResponse {
             && self.summary == other.summary
             && self.plot == other.plot
             && self.transition == other.transition
-            && self.fidelity == other.fidelity
     }
 }
 
@@ -487,9 +403,6 @@ struct EngineView {
     solution: Solution,
     summary: SummaryView,
     plot: GuidancePlot,
-    /// Fidelity of the pipeline that produced the view (never `Refined`;
-    /// the session layer decides when a view counts as a promotion).
-    fidelity: Fidelity,
     /// Estimated bytes this view pinned in shared caches (relation +
     /// plane; zero plane contribution when the plane was shed).
     retained_bytes: u64,
@@ -505,24 +418,13 @@ struct RelationOutcome {
     entry: Arc<AnswerEntry>,
     group_out: CacheOutcome,
     answers_out: CacheOutcome,
-    /// Sampling statistics when the group phase came from the sampled
-    /// pipeline; `None` on the exact path.
-    sample: Option<SampleStats>,
 }
 
-/// A finished group phase plus, when it came from the sampled pipeline,
-/// the sampling statistics that turn it into error bounds downstream.
-struct GroupPhase {
-    result: GroupedResult,
-    sample: Option<SampleStats>,
-}
-
-/// The group-phase layer: its cache plus the reusable scan scratch table,
-/// which lives under the same lock because only group scans use it.
-/// Exact phases are keyed `(TableId, group_fp)`; sampled phases fold the
-/// [`SampleSpec`] fingerprint into the key, so both coexist.
+/// The group-phase layer: its cache, keyed `(TableId, group_fp)`, plus the
+/// reusable scan scratch table, which lives under the same lock because
+/// only group scans use it.
 struct GroupLayer {
-    cache: LruCache<(TableId, u64), Arc<GroupPhase>>,
+    cache: LruCache<(TableId, u64), Arc<GroupedResult>>,
     scratch: GroupTable,
     /// Cumulative morsel-parallel scan counters across every cache-miss
     /// scan (zero while every table stays below the parallel threshold).
@@ -533,7 +435,7 @@ struct GroupLayer {
 ///
 /// `Explorer` is `Send + Sync`: wrap it in an `Arc`, hand clones to any
 /// number of threads, and open an [`ExploreSession`] per analyst. All
-/// sessions share the three cache layers, so the second analyst asking
+/// sessions share the four cache layers, so the second analyst asking
 /// the paper's Example 1.1 query pays `O(groups)` instead of a scan.
 ///
 /// ```
@@ -903,35 +805,25 @@ impl Explorer {
         let stmt = parse(sql)?;
         let (table_id, table) = self.catalog.require_shared(&stmt.from)?;
         let bound = bind(&stmt, &table)?;
-        let ro = self.relation_layers(table_id, &table, &bound, FidelityMode::Exact)?;
+        let ro = self.relation_layers(table_id, &table, &bound)?;
         Ok(Arc::clone(&ro.entry.answers))
     }
 
-    /// Layers 1–2 of the pipeline: the finished group phase (exact scan
-    /// or seeded sample, per `fidelity`) and the dense-coded answer
-    /// relation derived from it. Sampled artifacts fold the
-    /// [`SampleSpec`] fingerprint into both cache keys, so exact and
-    /// approximate entries for the same query coexist and never alias.
+    /// Layers 1–2 of the pipeline: the finished group phase and the
+    /// dense-coded answer relation derived from it.
     fn relation_layers(
         &self,
         table_id: TableId,
         table: &Arc<Table>,
         bound: &BoundQuery,
-        fidelity: FidelityMode,
     ) -> Result<RelationOutcome> {
-        let approx = fidelity == FidelityMode::Approximate;
         let group_fp = bound.group.fingerprint();
-        let phase_fp = if approx {
-            combine(group_fp, self.cfg.sample.fingerprint())
-        } else {
-            group_fp
-        };
 
         // Layer 1: the finished group phase — the only stage that ever
         // touches the base table. The scratch group table is borrowed out
         // of the engine while the scan runs unlocked; a concurrent miss
         // simply scans with a fresh scratch.
-        let gkey = (table_id, phase_fp);
+        let gkey = (table_id, group_fp);
         // Each probe is bound to its own statement so the layer guard in
         // the scrutinee drops before the miss arm re-locks to insert.
         let probe = self
@@ -940,19 +832,6 @@ impl Explorer {
             .get_cloned(&gkey);
         let (grouped, group_out) = match probe {
             Some(g) => (g, CacheOutcome::Hit),
-            None if approx => {
-                // The sampled phase brings its own (small) group table and
-                // touches only the drawn rows — no scratch borrowing.
-                let sampled = group_aggregate_sampled(&bound.group, table, &self.cfg.sample, 1)?;
-                let g = Arc::new(GroupPhase {
-                    result: sampled.result,
-                    sample: Some(sampled.stats),
-                });
-                self.lock(&self.groups, CacheLayer::GroupPhase)
-                    .cache
-                    .insert(gkey, Arc::clone(&g));
-                (g, CacheOutcome::Miss)
-            }
             None => {
                 let mut scratch =
                     std::mem::take(&mut self.lock(&self.groups, CacheLayer::GroupPhase).scratch);
@@ -961,10 +840,7 @@ impl Explorer {
                 let mut layer = self.lock(&self.groups, CacheLayer::GroupPhase);
                 layer.scratch = scratch;
                 layer.scan_stats.merge(scan);
-                let g = Arc::new(GroupPhase {
-                    result: result?,
-                    sample: None,
-                });
+                let g = Arc::new(result?);
                 layer.cache.insert(gkey, Arc::clone(&g));
                 (g, CacheOutcome::Miss)
             }
@@ -972,14 +848,14 @@ impl Explorer {
 
         // Layer 2: the dense-coded answer relation, derived O(groups) from
         // the group phase via the direct (no string round-trip) path.
-        let akey = (table_id, combine(phase_fp, bound.output.fingerprint()));
+        let akey = (table_id, combine(group_fp, bound.output.fingerprint()));
         let probe = self
             .lock(&self.answers, CacheLayer::Answers)
             .get_cloned(&akey);
         let (entry, answers_out) = match probe {
             Some(e) => (e, CacheOutcome::Hit),
             None => {
-                let answers = Arc::new(grouped.result.apply_answers(&bound.output)?);
+                let answers = Arc::new(grouped.apply_answers(&bound.output)?);
                 let fp = answers.fingerprint();
                 let e = Arc::new(AnswerEntry { answers, fp });
                 self.lock(&self.answers, CacheLayer::Answers)
@@ -991,7 +867,6 @@ impl Explorer {
             entry,
             group_out,
             answers_out,
-            sample: grouped.sample,
         })
     }
 
@@ -1024,23 +899,13 @@ impl Explorer {
 
         // Layers 1–2: the finished group phase and the dense-coded answer
         // relation (shared with [`Explorer::answer_relation`]).
-        let ro = self.relation_layers(table_id, &table, &bound, state.fidelity)?;
         let RelationOutcome {
             entry,
             group_out,
             answers_out,
-            sample,
-        } = ro;
+        } = self.relation_layers(table_id, &table, &bound)?;
         let base = Arc::clone(&entry.answers);
         let base_fp = entry.fp;
-        let approx = sample.is_some();
-        let fidelity = match sample {
-            Some(st) => Fidelity::Approximate {
-                rel_err: st.rel_err,
-                confidence: st.confidence,
-            },
-            None => Fidelity::Exact,
-        };
         if base.is_empty() {
             return Err(QagError::Execution(
                 "the query produced an empty answer relation; relax the threshold".to_string(),
@@ -1078,16 +943,7 @@ impl Explorer {
         let full_bytes = rel_bytes.saturating_add(plane_est);
         let shed_plane = budget.is_some_and(|b| full_bytes > b);
 
-        // Approximate planes carry the sampled relation's fidelity, so
-        // they must never alias an exact plane — even when the sampled
-        // relation happens to be content-identical to the exact one
-        // (small tables, roomy sample budget).
-        let plane_fp = if approx {
-            combine(base_fp, self.cfg.sample.fingerprint())
-        } else {
-            base_fp
-        };
-        let pkey = (plane_fp, l_eff, k_max);
+        let pkey = (base_fp, l_eff, k_max);
         let (plane, plane_out, store_out) = if shed_plane {
             degradations.push(Degradation::PlaneShed {
                 needed: full_bytes,
@@ -1101,15 +957,7 @@ impl Explorer {
             match probe {
                 Some(p) => (Some(p), CacheOutcome::Hit, None),
                 None => {
-                    // Approximate planes are never persisted: they are
-                    // keyed to a sample, cheap to rebuild, and a store
-                    // full of throwaway sampled planes would evict the
-                    // exact ones warm starts depend on.
-                    let store_path = if approx {
-                        None
-                    } else {
-                        self.store_path(base_fp, l_eff, k_max)
-                    };
+                    let store_path = self.store_path(base_fp, l_eff, k_max);
                     let loaded = store_path.as_ref().and_then(|path| {
                         self.store_probe(path, &base, base_fp, l_eff, k_max, &mut degradations)
                     });
@@ -1284,11 +1132,10 @@ impl Explorer {
             plane: plane_out,
             plane_store: store_out,
             summarizer: summarizer_out,
-            fidelity,
             degradations,
             stats: self.stats(),
         };
-        let summary = summary_view(&relation, &solution, state.k, l_used, d_eff, fidelity);
+        let summary = summary_view(&relation, &solution, state.k, l_used, d_eff);
         Ok((
             EngineView {
                 relation,
@@ -1297,7 +1144,6 @@ impl Explorer {
                 solution,
                 summary,
                 plot,
-                fidelity,
                 retained_bytes: if shed_plane { rel_bytes } else { full_bytes },
             },
             provenance,
@@ -1312,7 +1158,6 @@ fn summary_view(
     k: usize,
     l: usize,
     d: usize,
-    fidelity: Fidelity,
 ) -> SummaryView {
     let clusters = solution
         .clusters
@@ -1335,48 +1180,6 @@ fn summary_view(
         k,
         l,
         d,
-        fidelity,
-    }
-}
-
-/// Re-express `solution` (computed over `from`) against `to`, matching
-/// pattern slots by display text — the bridge that lets the transition
-/// machinery diff an *approximate* summary against its *exact* refinement,
-/// which live on relations with different dense codings. Coverage and
-/// sums are recomputed against `to`; a cluster whose pattern names a
-/// value absent from `to`'s domain (a sampling artifact that vanished
-/// under the exact scan) is dropped, which the band diagram renders as
-/// the cluster dissolving.
-fn translate_solution(from: &AnswerSet, to: &AnswerSet, solution: &Solution) -> Solution {
-    let mut clusters: Vec<SolutionCluster> = Vec::with_capacity(solution.clusters.len());
-    let mut union: std::collections::BTreeSet<TupleId> = std::collections::BTreeSet::new();
-    'clusters: for c in &solution.clusters {
-        let mut slots = Vec::with_capacity(c.pattern.slots().len());
-        for (i, &code) in c.pattern.slots().iter().enumerate() {
-            if code == STAR {
-                slots.push(STAR);
-            } else {
-                match to.code_of(i, from.code_text(i, code)) {
-                    Some(translated) => slots.push(translated),
-                    None => continue 'clusters,
-                }
-            }
-        }
-        let pattern = Pattern::new(slots);
-        let (members, sum) = to.scan_coverage(&pattern);
-        union.extend(members.iter().copied());
-        clusters.push(SolutionCluster {
-            pattern,
-            members,
-            sum,
-        });
-    }
-    // Deterministic union sum: BTreeSet iterates ascending tuple id.
-    let sum = union.iter().map(|&t| to.val(t)).sum();
-    Solution {
-        clusters,
-        covered: union.len(),
-        sum,
     }
 }
 
@@ -1413,55 +1216,21 @@ struct LastView {
     solution: Solution,
 }
 
-/// A background worker promoting an approximate view to exact by running
-/// the exact pipeline for the same state against the shared engine
-/// caches. It holds no session state — its entire output is warm cache
-/// entries — so dropping the handle (session eviction, checkpoint) simply
-/// detaches it; [`ExploreCommand::AwaitExact`] joins it to surface
-/// failures as [`Degradation::RefinementFailed`].
-#[derive(Debug)]
-struct RefineTask {
-    handle: std::thread::JoinHandle<std::result::Result<(), String>>,
-    /// Content fingerprint of the approximate relation this worker
-    /// refines; a new relation obsoletes the task.
-    relation_fp: u64,
-}
-
 /// Everything needed to open an [`ExploreSession`] — the one documented
 /// way into the engine for production callers (examples, the serving
-/// layer, load generators). [`SessionSpec::default`] opens a plain exact
-/// session with no query, equivalent to [`ExploreSession::new`].
-#[derive(Debug, Clone)]
+/// layer, load generators). [`SessionSpec::default`] opens a session
+/// with no query, equivalent to [`ExploreSession::new`].
+#[derive(Debug, Clone, Default)]
 pub struct SessionSpec {
     /// Open with this query already applied (the response is discarded;
     /// the first [`ExploreSession::apply`] then starts warm). `None`
     /// opens an empty session whose first command must be
     /// [`ExploreCommand::SetQuery`].
     pub sql: Option<String>,
-    /// Pipeline the session starts in. [`FidelityMode::Approximate`]
-    /// first-paints from the sampled pipeline and refines in the
-    /// background; see [`ExploreCommand::AwaitExact`].
-    pub fidelity: FidelityMode,
     /// Session memory budget: `None` inherits
     /// [`ExplorerConfig::session_budget_bytes`]; `Some(b)` overrides it
     /// (`Some(None)` = explicitly unbounded).
     pub budget_bytes: Option<Option<u64>>,
-    /// Whether approximate views spawn the background exact-refinement
-    /// worker. Disable for benchmarks that must time the first paint
-    /// without a concurrent exact scan, or on single-core deployments
-    /// that prefer refining only on explicit `AwaitExact`.
-    pub background_refine: bool,
-}
-
-impl Default for SessionSpec {
-    fn default() -> Self {
-        SessionSpec {
-            sql: None,
-            fidelity: FidelityMode::Exact,
-            budget_bytes: None,
-            background_refine: true,
-        }
-    }
 }
 
 impl Explorer {
@@ -1482,8 +1251,6 @@ impl Explorer {
         if let Some(budget) = spec.budget_bytes {
             session.set_budget_bytes(budget);
         }
-        session.background_refine = spec.background_refine;
-        session.default_fidelity = spec.fidelity;
         if let Some(sql) = spec.sql {
             session.apply(ExploreCommand::SetQuery(sql))?;
         }
@@ -1506,13 +1273,6 @@ pub struct ExploreSession {
     last: Option<LastView>,
     budget_bytes: Option<u64>,
     retained_bytes: u64,
-    /// Fidelity the first `SetQuery` starts in (later commands inherit
-    /// the state's own fidelity).
-    default_fidelity: FidelityMode,
-    /// Whether approximate views spawn a background refinement worker.
-    background_refine: bool,
-    /// The in-flight (or finished, unjoined) refinement worker, if any.
-    refine: Option<RefineTask>,
 }
 
 impl ExploreSession {
@@ -1527,9 +1287,6 @@ impl ExploreSession {
             last: None,
             budget_bytes,
             retained_bytes: 0,
-            default_fidelity: FidelityMode::Exact,
-            background_refine: true,
-            refine: None,
         }
     }
 
@@ -1576,8 +1333,6 @@ impl ExploreSession {
                 .map(|lv| (lv.relation_fp, lv.solution.clone())),
             budget_bytes: self.budget_bytes,
             retained_bytes: self.retained_bytes,
-            default_fidelity: self.default_fidelity,
-            background_refine: self.background_refine,
         }
     }
 
@@ -1596,11 +1351,6 @@ impl ExploreSession {
             }),
             budget_bytes: cp.budget_bytes,
             retained_bytes: cp.retained_bytes,
-            default_fidelity: cp.default_fidelity,
-            background_refine: cp.background_refine,
-            // The worker is never checkpointed: its only output is warm
-            // shared caches, which survive (or rebuild) on their own.
-            refine: None,
         }
     }
 
@@ -1615,9 +1365,6 @@ impl ExploreSession {
     /// serving path cannot fit this session's memory budget. The session
     /// state is unchanged on error.
     pub fn apply(&mut self, command: ExploreCommand) -> Result<ExploreResponse> {
-        if matches!(&command, ExploreCommand::AwaitExact) {
-            return self.await_exact();
-        }
         let next = match (&self.state, command) {
             (None, ExploreCommand::SetQuery(sql)) => ExploreState {
                 sql,
@@ -1626,7 +1373,6 @@ impl ExploreSession {
                 d: DEFAULT_D,
                 threshold: None,
                 drill: None,
-                fidelity: self.default_fidelity,
             },
             (None, other) => {
                 return Err(QagError::param(format!(
@@ -1654,19 +1400,7 @@ impl ExploreSession {
                 },
                 ..s.clone()
             },
-            (Some(s), ExploreCommand::SetFidelity(f)) => ExploreState {
-                fidelity: f,
-                ..s.clone()
-            },
-            (_, ExploreCommand::AwaitExact) => unreachable!("handled above"),
         };
-        self.finish(next)
-    }
-
-    /// The shared back half of every non-`AwaitExact` command: compute
-    /// the view, render the transition, commit the state, and (in
-    /// approximate mode) kick off the background refinement worker.
-    fn finish(&mut self, next: ExploreState) -> Result<ExploreResponse> {
         let (view, provenance) = self.engine.view_internal(&next, self.budget_bytes)?;
         self.retained_bytes = view.retained_bytes;
         let transition = match &self.last {
@@ -1683,165 +1417,13 @@ impl ExploreSession {
             relation_fp: view.relation_fp,
             solution: view.solution,
         });
-        self.maybe_spawn_refine(&next, view.relation_fp);
         Ok(ExploreResponse {
             state: next,
             summary: view.summary,
             plot: view.plot,
             transition,
-            fidelity: view.fidelity,
             provenance,
         })
-    }
-
-    /// After an approximate view: start (or keep) a background worker
-    /// that runs the *exact* pipeline for the same state, so the shared
-    /// caches are already warm when `AwaitExact` arrives. Holding the
-    /// approximate relation's fingerprint keeps the worker keyed to what
-    /// it refines; a spawn failure is silently tolerated — `AwaitExact`
-    /// computes inline either way.
-    fn maybe_spawn_refine(&mut self, state: &ExploreState, relation_fp: u64) {
-        if !self.background_refine || state.fidelity != FidelityMode::Approximate {
-            return;
-        }
-        if self
-            .refine
-            .as_ref()
-            .is_some_and(|t| t.relation_fp == relation_fp)
-        {
-            return; // already refining (or refined) this relation
-        }
-        let engine = Arc::clone(&self.engine);
-        let exact = ExploreState {
-            fidelity: FidelityMode::Exact,
-            ..state.clone()
-        };
-        let budget = self.budget_bytes;
-        let spawned = std::thread::Builder::new()
-            .name("qag-refine".into())
-            .spawn(move || {
-                engine
-                    .view_internal(&exact, budget)
-                    .map(|_| ())
-                    .map_err(|e| e.to_string())
-            });
-        self.refine = spawned.ok().map(|handle| RefineTask {
-            handle,
-            relation_fp,
-        });
-    }
-
-    /// [`ExploreCommand::AwaitExact`]: promote the session to the exact
-    /// pipeline. The served summary is byte-identical to what a cold
-    /// exact session at the same state would serve; the transition diffs
-    /// the approximate summary (translated onto the exact relation)
-    /// against the exact one. If the exact rebuild fails, the session
-    /// stays approximate and the failure is surfaced as a degradation.
-    fn await_exact(&mut self) -> Result<ExploreResponse> {
-        let Some(s) = self.state.clone() else {
-            return Err(QagError::param(
-                "session has no query yet; start with SetQuery (got AwaitExact)",
-            ));
-        };
-        if s.fidelity == FidelityMode::Exact {
-            // Nothing to promote: an idempotent re-view of the state.
-            return self.finish(s);
-        }
-        // Join the worker first: its warm cache entries make the inline
-        // exact view below a lookup, and its failure (if any) must be
-        // surfaced. The inline computation is authoritative either way.
-        let worker_failure = match self.refine.take() {
-            Some(task) => match task.handle.join() {
-                Ok(Ok(())) => None,
-                Ok(Err(reason)) => Some(reason),
-                Err(_) => Some("refinement worker panicked".to_string()),
-            },
-            None => None,
-        };
-        // The approximate view this promotion starts from — cache-warm
-        // (it produced the session's current summary) and needed both for
-        // the refined diff and as the fallback if refinement fails.
-        let (approx_view, _) = self.engine.view_internal(&s, self.budget_bytes)?;
-        let exact_state = ExploreState {
-            fidelity: FidelityMode::Exact,
-            ..s.clone()
-        };
-        match self.engine.view_internal(&exact_state, self.budget_bytes) {
-            Ok((view, mut provenance)) => {
-                if let Some(reason) = worker_failure {
-                    // The background attempt failed but the inline one
-                    // succeeded: the promotion stands, the hiccup is
-                    // still visible in provenance.
-                    provenance
-                        .degradations
-                        .push(Degradation::RefinementFailed { reason });
-                }
-                provenance.fidelity = Fidelity::Refined;
-                let translated = translate_solution(
-                    &approx_view.relation,
-                    &view.relation,
-                    &approx_view.solution,
-                );
-                let transition = Some(Transition::between(
-                    &view.relation,
-                    &translated,
-                    &view.solution,
-                    view.l_eff,
-                ));
-                self.retained_bytes = view.retained_bytes;
-                self.state = Some(exact_state.clone());
-                self.last = Some(LastView {
-                    relation_fp: view.relation_fp,
-                    solution: view.solution,
-                });
-                Ok(ExploreResponse {
-                    state: exact_state,
-                    summary: view.summary,
-                    plot: view.plot,
-                    transition,
-                    fidelity: Fidelity::Refined,
-                    provenance,
-                })
-            }
-            Err(err) => {
-                // Refinement failed: keep serving the approximate view
-                // with its error bounds — never a wrong-exact. The state
-                // stays approximate so a later AwaitExact can retry.
-                let (view, mut provenance) = self.engine.view_internal(&s, self.budget_bytes)?;
-                if let Some(reason) = worker_failure {
-                    provenance
-                        .degradations
-                        .push(Degradation::RefinementFailed { reason });
-                }
-                provenance.degradations.push(Degradation::RefinementFailed {
-                    reason: err.to_string(),
-                });
-                let transition = match &self.last {
-                    Some(last) if last.relation_fp == view.relation_fp => {
-                        Some(Transition::between(
-                            &view.relation,
-                            &last.solution,
-                            &view.solution,
-                            view.l_eff,
-                        ))
-                    }
-                    _ => None,
-                };
-                self.retained_bytes = view.retained_bytes;
-                self.last = Some(LastView {
-                    relation_fp: view.relation_fp,
-                    solution: view.solution,
-                });
-                Ok(ExploreResponse {
-                    state: s,
-                    summary: view.summary,
-                    plot: view.plot,
-                    transition,
-                    fidelity: view.fidelity,
-                    provenance,
-                })
-            }
-        }
     }
 }
 
@@ -2014,7 +1596,6 @@ mod tests {
             d: 1,
             threshold: Some(0.0),
             drill: None,
-            fidelity: FidelityMode::Exact,
         };
         let (summary_a, plot_a) = engine.view(&state).unwrap();
         let (summary_b, plot_b) = engine.view(&state).unwrap();
@@ -2443,42 +2024,6 @@ mod tests {
         assert_eq!(r.provenance.group_phase, CacheOutcome::Miss);
     }
 
-    /// A wider catalog (many groups) so approximate and exact relations
-    /// have clearly different sizes under a small sampling budget.
-    fn wide_catalog() -> Catalog {
-        let schema = Schema::from_pairs(&[
-            ("genre", ColumnType::Str),
-            ("who", ColumnType::Str),
-            ("rating", ColumnType::Float),
-        ])
-        .unwrap();
-        let mut b = TableBuilder::new(schema);
-        for g in 0..12 {
-            for w in 0..5 {
-                for r in 0..4 {
-                    b.push_row(vec![
-                        format!("g{g}").as_str().into(),
-                        format!("w{w}").as_str().into(),
-                        Cell::Float(1.0 + (g * 31 + w * 7 + r) as f64 * 0.01),
-                    ])
-                    .unwrap();
-                }
-            }
-        }
-        let mut c = Catalog::new();
-        c.register("ratings", b.finish());
-        c
-    }
-
-    fn approx_spec(sql: &str) -> SessionSpec {
-        SessionSpec {
-            sql: Some(sql.to_string()),
-            fidelity: FidelityMode::Approximate,
-            background_refine: false,
-            ..Default::default()
-        }
-    }
-
     #[test]
     fn open_session_is_the_front_door() {
         let engine = Arc::new(Explorer::new(catalog()));
@@ -2493,10 +2038,8 @@ mod tests {
             })
             .unwrap();
         assert_eq!(s.state().unwrap().sql, SQL);
-        assert_eq!(s.state().unwrap().fidelity, FidelityMode::Exact);
         let r = s.apply(ExploreCommand::SetK(3)).unwrap();
         assert_eq!(r.provenance.group_phase, CacheOutcome::Hit);
-        assert_eq!(r.fidelity, Fidelity::Exact);
         // A bad query refuses to open.
         assert!(engine
             .open_session(SessionSpec {
@@ -2518,256 +2061,5 @@ mod tests {
         let r = s.apply(ExploreCommand::SetQuery(SQL.into())).unwrap();
         assert_eq!(r.provenance.group_phase, CacheOutcome::Hit);
         assert_eq!(r.provenance.answers, CacheOutcome::Hit);
-    }
-
-    #[test]
-    fn approximate_session_reports_bounds_and_is_reproducible() {
-        let sql = "SELECT genre, who, AVG(rating) AS val FROM ratings \
-                   GROUP BY genre, who ORDER BY val DESC";
-        let open = |cfg: ExplorerConfig| {
-            let engine = Arc::new(Explorer::with_config(wide_catalog(), cfg));
-            let mut s = engine.open_session(approx_spec(sql)).unwrap();
-            s.apply(ExploreCommand::SetK(3)).unwrap()
-        };
-        let cfg = ExplorerConfig {
-            sample: SampleSpec {
-                target_rows: 64,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let a = open(cfg.clone());
-        match a.fidelity {
-            Fidelity::Approximate {
-                rel_err,
-                confidence,
-            } => {
-                assert!((0.0..=1.0).contains(&rel_err), "rel_err {rel_err}");
-                assert_eq!(confidence, 0.95);
-            }
-            other => panic!("expected Approximate, got {other:?}"),
-        }
-        assert_eq!(a.summary.fidelity, a.fidelity);
-        // Same config, fresh engine: byte-identical first paint.
-        let b = open(cfg);
-        assert!(a.same_view(&b), "sampled views must be reproducible");
-        // A different seed is a different sampled relation.
-        let c = open(ExplorerConfig {
-            sample: SampleSpec {
-                seed: 7,
-                target_rows: 64,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        assert_ne!(
-            a.summary.total, 0,
-            "sampled relation must not be empty under HAVING-free queries"
-        );
-        assert!(c.summary.total > 0);
-    }
-
-    #[test]
-    fn await_exact_matches_a_cold_exact_session_bit_for_bit() {
-        let sql = "SELECT genre, who, AVG(rating) AS val FROM ratings \
-                   GROUP BY genre, who ORDER BY val DESC";
-        let cfg = ExplorerConfig {
-            sample: SampleSpec {
-                target_rows: 48,
-                reservoir: 4,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        // Drive an approximate session through a command sequence, then
-        // promote it.
-        let engine = Arc::new(Explorer::with_config(wide_catalog(), cfg.clone()));
-        let mut s = engine.open_session(approx_spec(sql)).unwrap();
-        s.apply(ExploreCommand::SetK(3)).unwrap();
-        s.apply(ExploreCommand::SetD(1)).unwrap();
-        let refined = s.apply(ExploreCommand::AwaitExact).unwrap();
-        assert_eq!(refined.fidelity, Fidelity::Refined);
-        assert_eq!(refined.state.fidelity, FidelityMode::Exact);
-        assert_eq!(refined.summary.fidelity, Fidelity::Exact);
-        assert_eq!(refined.provenance.fidelity, Fidelity::Refined);
-        assert!(
-            refined.transition.is_some(),
-            "refinement must diff approximate vs exact"
-        );
-
-        // The store-less cold exact path at the same state.
-        let engine2 = Arc::new(Explorer::with_config(wide_catalog(), cfg));
-        let mut s2 = engine2
-            .open_session(SessionSpec {
-                sql: Some(sql.into()),
-                ..Default::default()
-            })
-            .unwrap();
-        s2.apply(ExploreCommand::SetK(3)).unwrap();
-        let exact = s2.apply(ExploreCommand::SetD(1)).unwrap();
-        assert_eq!(refined.summary, exact.summary, "refined != cold exact");
-        assert_eq!(refined.plot, exact.plot);
-        for (a, b) in refined
-            .summary
-            .clusters
-            .iter()
-            .zip(exact.summary.clusters.iter())
-        {
-            assert_eq!(a.sum.to_bits(), b.sum.to_bits());
-            assert_eq!(a.avg.to_bits(), b.avg.to_bits());
-        }
-        assert_eq!(refined.summary.avg.to_bits(), exact.summary.avg.to_bits());
-
-        // After promotion the session is exact: further commands serve
-        // exact views and AwaitExact is an idempotent re-view.
-        let r = s.apply(ExploreCommand::SetK(2)).unwrap();
-        assert_eq!(r.fidelity, Fidelity::Exact);
-        let again = s.apply(ExploreCommand::AwaitExact).unwrap();
-        assert_eq!(again.fidelity, Fidelity::Exact);
-        assert!(again.transition.is_some());
-    }
-
-    #[test]
-    fn background_refinement_warms_the_exact_path() {
-        let sql = "SELECT genre, who, AVG(rating) AS val FROM ratings \
-                   GROUP BY genre, who ORDER BY val DESC";
-        let engine = Arc::new(Explorer::with_config(
-            wide_catalog(),
-            ExplorerConfig {
-                sample: SampleSpec {
-                    target_rows: 64,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        ));
-        let mut s = engine
-            .open_session(SessionSpec {
-                sql: Some(sql.into()),
-                fidelity: FidelityMode::Approximate,
-                background_refine: true,
-                ..Default::default()
-            })
-            .unwrap();
-        // AwaitExact joins the worker; the exact artifacts it computed
-        // serve the promotion from cache.
-        let refined = s.apply(ExploreCommand::AwaitExact).unwrap();
-        assert_eq!(refined.fidelity, Fidelity::Refined);
-        assert_eq!(refined.provenance.group_phase, CacheOutcome::Hit);
-        assert_eq!(refined.provenance.plane, CacheOutcome::Hit);
-        assert!(!refined
-            .provenance
-            .degradations
-            .iter()
-            .any(|d| matches!(d, Degradation::RefinementFailed { .. })));
-    }
-
-    #[test]
-    fn refinement_failure_keeps_the_approximate_view() {
-        let sql = "SELECT genre, who, AVG(rating) AS val FROM ratings \
-                   GROUP BY genre, who ORDER BY val DESC";
-        // A budget sized between the sampled relation (~16 groups) and
-        // the exact one (60 groups): the approximate view serves (plane
-        // shed), the exact rebuild is refused.
-        let engine = Arc::new(Explorer::with_config(
-            wide_catalog(),
-            ExplorerConfig {
-                sample: SampleSpec {
-                    target_rows: 16,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        ));
-        let mut s = engine
-            .open_session(SessionSpec {
-                sql: Some(sql.into()),
-                fidelity: FidelityMode::Approximate,
-                background_refine: false,
-                budget_bytes: Some(Some(1_500)),
-            })
-            .unwrap();
-        let approx_total = s.apply(ExploreCommand::SetK(2)).unwrap().summary.total;
-        let r = s.apply(ExploreCommand::AwaitExact).unwrap();
-        assert!(
-            matches!(r.fidelity, Fidelity::Approximate { .. }),
-            "failed refinement must stay approximate, got {:?}",
-            r.fidelity
-        );
-        assert_eq!(r.state.fidelity, FidelityMode::Approximate);
-        assert_eq!(r.summary.total, approx_total);
-        assert!(
-            r.provenance
-                .degradations
-                .iter()
-                .any(|d| matches!(d, Degradation::RefinementFailed { .. })),
-            "failure must be visible in provenance: {:?}",
-            r.provenance.degradations
-        );
-        // The session still works, and lifting the budget lets a retry
-        // succeed.
-        s.set_budget_bytes(None);
-        let promoted = s.apply(ExploreCommand::AwaitExact).unwrap();
-        assert_eq!(promoted.fidelity, Fidelity::Refined);
-        assert_eq!(promoted.state.fidelity, FidelityMode::Exact);
-    }
-
-    #[test]
-    fn set_fidelity_switches_pipelines_without_aliasing_planes() {
-        let sql = "SELECT genre, who, AVG(rating) AS val FROM ratings \
-                   GROUP BY genre, who ORDER BY val DESC";
-        let engine = Arc::new(Explorer::with_config(
-            wide_catalog(),
-            ExplorerConfig {
-                sample: SampleSpec {
-                    target_rows: 64,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        ));
-        let mut s = engine
-            .open_session(SessionSpec {
-                sql: Some(sql.into()),
-                background_refine: false,
-                ..Default::default()
-            })
-            .unwrap();
-        // Exact first, then switch to approximate: the sampled pipeline
-        // must build its own plane (no cache aliasing), even if the
-        // sampled relation were content-identical.
-        let exact = s.apply(ExploreCommand::SetK(3)).unwrap();
-        assert_eq!(exact.fidelity, Fidelity::Exact);
-        let approx = s
-            .apply(ExploreCommand::SetFidelity(FidelityMode::Approximate))
-            .unwrap();
-        assert!(matches!(approx.fidelity, Fidelity::Approximate { .. }));
-        assert_eq!(approx.provenance.plane, CacheOutcome::Miss);
-        assert_eq!(
-            approx.provenance.plane_store, None,
-            "approximate planes never touch the persistent store"
-        );
-        // And back: the exact plane is still cached.
-        let back = s
-            .apply(ExploreCommand::SetFidelity(FidelityMode::Exact))
-            .unwrap();
-        assert_eq!(back.fidelity, Fidelity::Exact);
-        assert_eq!(back.provenance.plane, CacheOutcome::Hit);
-        assert!(back.same_view(&ExploreResponse {
-            transition: back.transition.clone(),
-            ..exact.clone()
-        }));
-    }
-
-    #[test]
-    fn await_exact_before_any_query_is_a_clean_error() {
-        let engine = Arc::new(Explorer::new(catalog()));
-        let mut s = engine.open_session(SessionSpec::default()).unwrap();
-        let err = s.apply(ExploreCommand::AwaitExact).unwrap_err();
-        assert!(err.to_string().contains("SetQuery"), "{err}");
-        let err = s
-            .apply(ExploreCommand::SetFidelity(FidelityMode::Approximate))
-            .unwrap_err();
-        assert!(err.to_string().contains("SetQuery"), "{err}");
     }
 }

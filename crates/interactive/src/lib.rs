@@ -21,9 +21,10 @@
 //! `D`) with knee-point and flat-region detection for the §6.1 visual guide.
 //!
 //! All of it comes together in [`explore::Explorer`]: an owned,
-//! `Send + Sync` engine that stacks the three cache layers (group phases,
-//! answer relations, parameter planes + summarizers) behind typed
-//! fingerprint keys with LRU bounds ([`cache::LruCache`]), and
+//! `Send + Sync` engine that stacks four in-memory cache layers (group
+//! phases, answer relations, parameter planes, drill-down summarizers)
+//! under typed fingerprint keys with LRU bounds ([`cache::LruCache`]),
+//! with the optional `.qag` plane store behind the plane layer, and
 //! [`explore::ExploreSession`], the command-driven state machine of the
 //! full interactive loop — every command answers with a refreshed
 //! summary, the Fig. 2 guidance plot, an App. A.7 transition, and cache
@@ -53,13 +54,9 @@ pub use checkpoint::{checkpoint_file_name, SessionCheckpoint};
 pub use explore::{
     CacheLayer, CacheOutcome, CacheProvenance, ClusterView, Degradation, ExploreCommand,
     ExploreResponse, ExploreSession, ExploreState, Explorer, ExplorerConfig, ExplorerStats,
-    Fidelity, FidelityMode, PoisonStats, SessionSpec, StoreLayerStats, SummaryView,
+    PoisonStats, SessionSpec, StoreLayerStats, SummaryView,
 };
-// The sampling knobs live in the query layer but are configured through
-// [`ExplorerConfig::sample`]; re-export them so engine configurers need
-// one import.
 pub use interval_tree::IntervalTree;
 pub use plot::{DSeries, GuidancePlot};
 pub use precompute::{DescentEngine, PrecomputeConfig, Precomputed};
-pub use qagview_query::{SampleSpec, SampleStats};
 pub use store::{GcReport, StoreReader};

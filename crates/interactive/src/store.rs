@@ -994,9 +994,9 @@ mod tests {
 
     #[test]
     fn retired_eval_mode_tag_is_corrupt() {
-        // Tag 2 named the removed relaxed evaluator. No store ever held it
-        // (approximate planes skip the store), so a file carrying it —
-        // with a valid checksum — is corrupt, not a plane to load.
+        // Tag 2 named the removed relaxed evaluator. No store ever held
+        // it, so a file carrying it — with a valid checksum — is corrupt,
+        // not a plane to load.
         let (_, pre) = built();
         let mut bytes = to_bytes(&pre).unwrap();
         // The eval tag follows the fingerprint, n, and seven u32 fields.

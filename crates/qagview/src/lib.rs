@@ -13,12 +13,10 @@
 //! the one documented front door — turns a declarative
 //! [`SessionSpec`](interactive::SessionSpec) into an
 //! [`ExploreSession`](interactive::ExploreSession) that advances the
-//! state `(sql, k, L, D, threshold, drill, fidelity)` one typed command
-//! at a time. Each command returns the refreshed summary, the Fig. 2
-//! guidance plot, a band-diagram transition from the previous summary,
-//! cache provenance saying which layer answered, and a typed
-//! [`Fidelity`](interactive::Fidelity) tag saying whether the view is
-//! exact, sampled with error bounds, or freshly promoted to exact.
+//! state `(sql, k, L, D, threshold, drill)` one typed command at a
+//! time. Each command returns the refreshed summary, the Fig. 2 guidance
+//! plot, a band-diagram transition from the previous summary, and cache
+//! provenance saying which layer answered.
 //!
 //! Callers that want the answer relation itself rather than a session
 //! use [`Explorer::answer_relation`](interactive::Explorer::answer_relation);
@@ -66,7 +64,6 @@
 //! //    answer relation happens not to change, so is the whole plane.
 //! let r = session.apply(ExploreCommand::SetThreshold(0.5)).unwrap();
 //! assert_eq!(r.summary.clusters[0].label, "(adventure, *)");
-//! assert_eq!(r.fidelity, Fidelity::Exact);
 //! assert_eq!(r.provenance.group_phase, CacheOutcome::Hit);
 //! assert_eq!(r.provenance.plane, CacheOutcome::Hit);
 //!
@@ -134,8 +131,8 @@ pub mod prelude {
     pub use qagview_interactive::{
         store, CacheLayer, CacheOutcome, CacheProvenance, ClusterView, Degradation, ExploreCommand,
         ExploreResponse, ExploreSession, ExploreState, Explorer, ExplorerConfig, ExplorerStats,
-        Fidelity, FidelityMode, GcReport, GuidancePlot, PoisonStats, PrecomputeConfig, Precomputed,
-        SampleSpec, SampleStats, SessionSpec, StoreLayerStats, StoreReader, SummaryView,
+        GcReport, GuidancePlot, PoisonStats, PrecomputeConfig, Precomputed, SessionSpec,
+        StoreLayerStats, StoreReader, SummaryView,
     };
     pub use qagview_lattice::{
         AnswerSet, AnswerSetBuilder, AnswersHandle, CandidateIndex, Pattern, STAR,

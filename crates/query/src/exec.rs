@@ -21,6 +21,7 @@ use crate::plan::{BoundPredicate, BoundQuery, GroupSpec};
 use qagview_common::{FxHashMap, QagError, Result, Value};
 use qagview_storage::selection::{gather_f64, gather_i64_as_f64, SelOp, SelectionVector};
 use qagview_storage::{Column, Table};
+use std::ops::Range;
 
 /// Rows per scan batch of the vectorized pipeline. Sized so the per-batch
 /// scratch (selection vector, encoded keys, group ids, gathered values)
@@ -224,15 +225,6 @@ pub(crate) fn plan_agg_inputs(spec: &GroupSpec, table: &Table) -> Result<AggInpu
     })
 }
 
-/// The rows a scan visits.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RowSource<'a> {
-    /// The contiguous row range `[start, end)` — the exact scans.
-    Range(usize, usize),
-    /// Strictly ascending row ids — the sampled scan.
-    Ids(&'a [u32]),
-}
-
 /// The per-batch buffers of [`scan_batches`], reusable across scans so a
 /// worker that scans many morsels allocates them once.
 pub(crate) struct ScanScratch {
@@ -261,8 +253,6 @@ impl ScanScratch {
 /// One batch that survived the predicates, as [`scan_batches`] hands it to
 /// its caller.
 pub(crate) struct ScanBatch<'a> {
-    /// The selected row ids, ascending.
-    pub(crate) rows: &'a [u32],
     /// The group id of each selected row.
     pub(crate) gids: &'a [u32],
     /// Groups in the scan's table after this batch.
@@ -289,20 +279,20 @@ impl<'a> ScanBatch<'a> {
     }
 }
 
-/// The one batch loop of every group-phase scan: the sequential scan, each
-/// morsel of the parallel scan, and each chunk of the sampled scan.
+/// The one batch loop of every group-phase scan: the sequential scan and
+/// each morsel of the parallel scan.
 ///
-/// Walks `source` in batches of [`BATCH_ROWS`] rows, refines each batch's
-/// selection through the `WHERE` predicates, encodes the survivors' group
-/// keys, assigns their group ids in `gt`, gathers each distinct aggregate
-/// input column once, and passes the batch to `on_batch`. Batches are
-/// visited in ascending row order, so callers that fold values in
-/// `on_batch` accumulate in row order.
+/// Walks the row range `rows` in batches of [`BATCH_ROWS`] rows, refines
+/// each batch's selection through the `WHERE` predicates, encodes the
+/// survivors' group keys, assigns their group ids in `gt`, gathers each
+/// distinct aggregate input column once, and passes the batch to
+/// `on_batch`. Batches are visited in ascending row order, so callers that
+/// fold values in `on_batch` accumulate in row order.
 pub(crate) fn scan_batches(
     spec: &GroupSpec,
     table: &Table,
     inputs: &AggInputs,
-    source: RowSource<'_>,
+    rows: Range<usize>,
     gt: &mut GroupTable,
     scratch: &mut ScanScratch,
     mut on_batch: impl FnMut(&ScanBatch<'_>),
@@ -314,23 +304,9 @@ pub(crate) fn scan_batches(
         gids,
         gathered,
     } = scratch;
-    let total = match source {
-        RowSource::Range(start, end) => end - start,
-        RowSource::Ids(ids) => ids.len(),
-    };
-    for offset in (0..total).step_by(BATCH_ROWS) {
-        let len = BATCH_ROWS.min(total - offset);
-        let range_start = match source {
-            RowSource::Range(start, _) => {
-                let first = start + offset;
-                sel.fill_range(first as u32, (first + len) as u32);
-                Some(first)
-            }
-            RowSource::Ids(ids) => {
-                sel.fill_ids(&ids[offset..offset + len]);
-                None
-            }
-        };
+    for first in rows.clone().step_by(BATCH_ROWS) {
+        let len = BATCH_ROWS.min(rows.end - first);
+        sel.fill_range(first as u32, (first + len) as u32);
         for p in &spec.predicates {
             apply_predicate(table, p, sel)?;
             if sel.is_empty() {
@@ -341,9 +317,9 @@ pub(crate) fn scan_batches(
             continue;
         }
 
-        // A range batch is "dense" when no predicate dropped a row: the
-        // kernels can then walk the column slices directly.
-        let dense_start = range_start.filter(|_| sel.len() == len);
+        // A batch is "dense" when no predicate dropped a row: the kernels
+        // can then walk the column slices directly.
+        let dense_start = (sel.len() == len).then_some(first);
         encode_keys(table, &spec.group_cols, sel, dense_start, keys, hashes)?;
         gt.assign(keys, hashes, sel.len(), gids);
 
@@ -369,7 +345,6 @@ pub(crate) fn scan_batches(
             }
         }
         on_batch(&ScanBatch {
-            rows: sel.rows(),
             gids,
             num_groups: gt.num_groups(),
             table,
@@ -404,7 +379,7 @@ pub fn group_aggregate_with(
         spec,
         table,
         &inputs,
-        RowSource::Range(0, table.num_rows()),
+        0..table.num_rows(),
         gt,
         &mut scratch,
         |batch| acc.add(batch.gids, batch.num_groups, |k| batch.input(k)),

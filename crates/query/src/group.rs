@@ -195,8 +195,8 @@ impl GroupTable {
     /// ascending row order numbers its groups by first encounter, so
     /// merging ascending contiguous partitions reproduces the
     /// single-partition first-encounter order exactly, whatever the
-    /// partition boundaries. The morsel-parallel and the sampled scans
-    /// both rest their partition invariance on this.
+    /// partition boundaries. The morsel-parallel scan rests its partition
+    /// invariance on this.
     pub(crate) fn merge_partition(
         &mut self,
         local_keys: &[u64],
@@ -397,7 +397,7 @@ impl GroupedResult {
         acc: &Accumulators,
     ) -> Result<Self> {
         let n = gt.num_groups();
-        let finished = acc
+        let finished: Vec<Vec<f64>> = acc
             .aggs
             .iter()
             .zip(&acc.acc)
@@ -407,28 +407,7 @@ impl GroupedResult {
                     .collect()
             })
             .collect();
-        Self::from_finished(
-            table,
-            &spec.group_cols,
-            spec.group_names.clone(),
-            gt,
-            finished,
-        )
-    }
-
-    /// Finish a group phase from already-finished aggregate columns
-    /// (`[agg_idx][gid]`, gids in `gt` insertion order): render keys and
-    /// precompute the sort permutations. The exact path arrives here via
-    /// [`GroupedResult::finish`]; the sampled path injects per-group
-    /// *estimates* directly.
-    pub(crate) fn from_finished(
-        table: &Table,
-        group_cols: &[usize],
-        attr_names: Vec<String>,
-        gt: &GroupTable,
-        finished: Vec<Vec<f64>>,
-    ) -> Result<Self> {
-        let n = gt.num_groups();
+        let group_cols = &spec.group_cols;
         let width = group_cols.len();
 
         // Render each *distinct* encoded value per lane once into a pool
@@ -527,7 +506,7 @@ impl GroupedResult {
         }
 
         Ok(GroupedResult {
-            attr_names,
+            attr_names: spec.group_names.clone(),
             width,
             num_groups: n,
             attr_pool,

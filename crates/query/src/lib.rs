@@ -57,7 +57,6 @@ pub mod lexer;
 pub mod parallel;
 pub mod parser;
 pub mod plan;
-pub mod sample;
 #[cfg(test)]
 mod testutil;
 
@@ -72,7 +71,6 @@ pub use parallel::{
 };
 pub use parser::parse;
 pub use plan::{bind, BoundQuery, GroupSpec, OutputSpec};
-pub use sample::{group_aggregate_sampled, sample_row_ids, SampleSpec, SampleStats, SampledResult};
 
 use qagview_common::Result;
 use qagview_storage::Catalog;
@@ -81,8 +79,8 @@ use qagview_storage::Catalog;
 ///
 /// This is the row-engine-adjacent *oracle* entry point: production
 /// callers route through `qagview_interactive::Explorer::open_session`
-/// instead, which adds caching, budgets, and progressive fidelity on the
-/// same pipeline. Tests keep calling this directly to cross-check them.
+/// instead, which adds caching and budgets on the same pipeline. Tests
+/// keep calling this directly to cross-check them.
 pub fn run_query(catalog: &Catalog, sql: &str) -> Result<QueryOutput> {
     let stmt = parse(sql)?;
     let table = catalog.require(&stmt.from)?;

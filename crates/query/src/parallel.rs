@@ -9,8 +9,7 @@
 //! its morsel through the same batch driver as the sequential scan, but
 //! instead of accumulating into global state it buffers a compact
 //! `MorselOutput`: the morsel's local group-key arena plus, per selected
-//! row, the local group id and the gathered aggregate-input values. The
-//! sampled scan of [`crate::sample`] buffers its chunks the same way.
+//! row, the local group id and the gathered aggregate-input values.
 //!
 //! # Determinism: ordered partition merge, ascending re-accumulation
 //!
@@ -43,11 +42,12 @@
 //! morsel outputs hold ~`4 + 8·(input columns)` bytes per selected row —
 //! the price of determinism, paid only on the parallel path.
 
-use crate::exec::{plan_agg_inputs, scan_batches, AggInputs, RowSource, ScanScratch, BATCH_ROWS};
+use crate::exec::{plan_agg_inputs, scan_batches, AggInputs, ScanScratch, BATCH_ROWS};
 use crate::group::{Accumulators, GroupTable, GroupedResult};
 use crate::plan::GroupSpec;
 use qagview_common::Result;
 use qagview_storage::Table;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default rows per morsel: a handful of scan batches, so the per-morsel
@@ -122,13 +122,13 @@ impl ParallelScanStats {
 }
 
 /// One worker's pooled scan scratch, reused across every morsel it claims.
-pub(crate) struct WorkerScratch {
+struct WorkerScratch {
     gt: GroupTable,
     scan: ScanScratch,
 }
 
 impl WorkerScratch {
-    pub(crate) fn new(width: usize, num_inputs: usize) -> Self {
+    fn new(width: usize, num_inputs: usize) -> Self {
         WorkerScratch {
             gt: GroupTable::new(width),
             scan: ScanScratch::new(width, num_inputs),
@@ -139,51 +139,43 @@ impl WorkerScratch {
 /// What one partition's scan produced: the local group-key arena plus,
 /// per selected row in ascending row order, the local group id and the
 /// gathered value of each distinct aggregate input column.
-pub(crate) struct MorselOutput {
-    pub(crate) num_local_groups: usize,
+struct MorselOutput {
+    num_local_groups: usize,
     /// Local key arena copied out of the worker's pooled table
     /// (`width` lanes per local group, local-gid order).
-    pub(crate) local_keys: Vec<u64>,
+    local_keys: Vec<u64>,
     /// Local group id of every selected row, ascending row order.
-    pub(crate) row_gids: Vec<u32>,
-    /// Row id of every selected row, same order — recorded only when the
-    /// caller asks (the sampler keys its reservoir priorities on it).
-    pub(crate) row_ids: Vec<u32>,
+    row_gids: Vec<u32>,
     /// Per distinct input column: the selected rows' values, same order.
-    pub(crate) row_vals: Vec<Vec<f64>>,
+    row_vals: Vec<Vec<f64>>,
 }
 
 /// Scan one partition through [`scan_batches`] with the worker's pooled
 /// scratch, buffering every batch into a [`MorselOutput`] instead of
 /// accumulating it.
-pub(crate) fn scan_morsel(
+fn scan_morsel(
     spec: &GroupSpec,
     table: &Table,
     inputs: &AggInputs,
-    source: RowSource<'_>,
+    rows: Range<usize>,
     scratch: &mut WorkerScratch,
-    keep_row_ids: bool,
 ) -> Result<MorselOutput> {
     scratch.gt.clear(spec.group_cols.len());
     let mut out = MorselOutput {
         num_local_groups: 0,
         local_keys: Vec::new(),
         row_gids: Vec::new(),
-        row_ids: Vec::new(),
         row_vals: vec![Vec::new(); inputs.input_cols.len()],
     };
     scan_batches(
         spec,
         table,
         inputs,
-        source,
+        rows,
         &mut scratch.gt,
         &mut scratch.scan,
         |batch| {
             out.row_gids.extend_from_slice(batch.gids);
-            if keep_row_ids {
-                out.row_ids.extend_from_slice(batch.rows);
-            }
             for (k, vals) in out.row_vals.iter_mut().enumerate() {
                 vals.extend_from_slice(batch.input(k));
             }
@@ -248,10 +240,9 @@ pub fn group_aggregate_parallel_with(
             }
             let start = m * morsel_rows;
             let end = (start + morsel_rows).min(n);
-            let source = RowSource::Range(start, end);
             out.push((
                 m,
-                scan_morsel(spec, table, &inputs, source, &mut scratch, false)?,
+                scan_morsel(spec, table, &inputs, start..end, &mut scratch)?,
             ));
         }
         Ok(out)

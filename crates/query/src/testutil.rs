@@ -1,5 +1,5 @@
 //! Adversarial tables shared by the scan tests of every group-phase
-//! caller: the sequential, the morsel-parallel and the sampled scans.
+//! caller: the sequential and the morsel-parallel scans.
 
 use crate::exec::BATCH_ROWS;
 use qagview_storage::{Cell, ColumnType, Schema, Table, TableBuilder};

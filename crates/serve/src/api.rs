@@ -24,7 +24,7 @@ use qagview_common::wire::checksum64;
 use qagview_common::QagError;
 use qagview_interactive::{
     CacheLayer, CacheOutcome, CacheProvenance, Degradation, ExploreCommand, ExploreResponse,
-    ExploreState, Fidelity, FidelityMode, SummaryView,
+    ExploreState, SummaryView,
 };
 use qagview_lattice::{Pattern, STAR};
 
@@ -32,13 +32,15 @@ use qagview_lattice::{Pattern, STAR};
 ///
 /// * **v1** — the original schema: state/summary/plot/transition view,
 ///   digest, provenance. Implicitly exact-only.
-/// * **v2** — progressive mode: responses carry a top-level `"fidelity"`
-///   object and the view's state/summary gained `fidelity` fields; new
-///   commands `set_fidelity` and `await_exact`; session creation accepts
-///   a `"fidelity"` field. Parsing stays field-tolerant in both
-///   directions, so a v1-shaped client that ignores unknown fields keeps
-///   working against exact-mode sessions (see the compat tests).
-pub const PROTOCOL_VERSION: u64 = 2;
+/// * **v2** — added a sampled approximate mode: `fidelity` objects in
+///   responses, `set_fidelity` / `await_exact` commands, and a
+///   `"fidelity"` field on session creation.
+/// * **v3** — the approximate mode is gone again and every session is
+///   exact. Responses carry no `fidelity` objects, `set_fidelity` and
+///   `await_exact` are unknown commands, and a `"fidelity"` field on
+///   session creation is ignored like any unknown field. A v1-shaped
+///   client round-trips unchanged (see the compat tests).
+pub const PROTOCOL_VERSION: u64 = 3;
 
 /// Every way a request can be refused, with its HTTP status and a stable
 /// machine-checkable `kind` slug.
@@ -189,8 +191,6 @@ impl ServeError {
 /// | `set_threshold` | `"value"`: number                               |
 /// | `set_k` / `set_l` / `set_d` | `"value"`: non-negative integer     |
 /// | `drill_down`    | `"pattern"`: array of code-or-`null` (`null` = ∗) |
-/// | `set_fidelity`  | `"mode"`: `"exact"` or `"approximate"` (v2)     |
-/// | `await_exact`   | — (v2)                                          |
 ///
 /// Unknown *fields* are ignored (tolerant parsing); an unknown `cmd` is
 /// a typed refusal.
@@ -254,49 +254,7 @@ pub fn parse_command(body: &[u8]) -> Result<ExploreCommand, ServeError> {
             }
             Ok(ExploreCommand::DrillDown(Pattern::new(slots)))
         }
-        "set_fidelity" => {
-            let mode = doc.get("mode").and_then(Json::as_str).ok_or_else(|| {
-                ServeError::BadCommand("\"set_fidelity\" needs a string field \"mode\"".into())
-            })?;
-            Ok(ExploreCommand::SetFidelity(parse_fidelity_mode(mode)?))
-        }
-        "await_exact" => Ok(ExploreCommand::AwaitExact),
         other => Err(ServeError::BadCommand(format!("unknown cmd {other:?}"))),
-    }
-}
-
-/// Decode a fidelity-mode string (session creation, `set_fidelity`).
-pub fn parse_fidelity_mode(mode: &str) -> Result<FidelityMode, ServeError> {
-    match mode {
-        "exact" => Ok(FidelityMode::Exact),
-        "approximate" => Ok(FidelityMode::Approximate),
-        other => Err(ServeError::BadCommand(format!(
-            "fidelity mode {other:?} is not \"exact\" or \"approximate\""
-        ))),
-    }
-}
-
-fn fidelity_mode_str(mode: FidelityMode) -> &'static str {
-    match mode {
-        FidelityMode::Exact => "exact",
-        FidelityMode::Approximate => "approximate",
-    }
-}
-
-/// A fidelity as its wire object: `{"mode": ...}` plus the error
-/// envelope in approximate mode.
-pub fn fidelity_json(f: Fidelity) -> Json {
-    match f {
-        Fidelity::Exact => Json::obj([("mode", Json::from("exact"))]),
-        Fidelity::Approximate {
-            rel_err,
-            confidence,
-        } => Json::obj([
-            ("mode", Json::from("approximate")),
-            ("rel_err", Json::from(rel_err)),
-            ("confidence", Json::from(confidence)),
-        ]),
-        Fidelity::Refined => Json::obj([("mode", Json::from("refined"))]),
     }
 }
 
@@ -326,7 +284,6 @@ fn state_json(state: &ExploreState) -> Json {
             "drill",
             state.drill.as_ref().map_or(Json::Null, pattern_json),
         ),
-        ("fidelity", Json::from(fidelity_mode_str(state.fidelity))),
     ])
 }
 
@@ -365,7 +322,6 @@ fn summary_json(s: &SummaryView) -> Json {
         ("k", Json::from(s.k)),
         ("l", Json::from(s.l)),
         ("d", Json::from(s.d)),
-        ("fidelity", fidelity_json(s.fidelity)),
     ])
 }
 
@@ -478,10 +434,6 @@ fn degradation_json(d: &Degradation) -> Json {
             ("kind", Json::from("poison_recovered")),
             ("layer", Json::from(layer_str(*layer))),
         ]),
-        Degradation::RefinementFailed { reason } => Json::obj([
-            ("kind", Json::from("refinement_failed")),
-            ("reason", Json::from(reason.as_str())),
-        ]),
     }
 }
 
@@ -507,7 +459,6 @@ pub fn provenance_json(p: &CacheProvenance, restored: bool) -> Json {
             "degradations",
             Json::Arr(p.degradations.iter().map(degradation_json).collect()),
         ),
-        ("fidelity", fidelity_json(p.fidelity)),
         ("restored", Json::from(restored)),
     ])
 }
@@ -521,7 +472,6 @@ pub fn response_json(session_hex: &str, seq: u64, restored: bool, resp: &Explore
         ("session", Json::from(session_hex)),
         ("seq", Json::from(seq)),
         ("digest", Json::from(format!("{digest:016x}"))),
-        ("fidelity", fidelity_json(resp.fidelity)),
         ("provenance", provenance_json(&resp.provenance, restored)),
         ("view", view),
     ])
@@ -552,21 +502,16 @@ mod tests {
     }
 
     #[test]
-    fn fidelity_commands_parse() {
-        assert_eq!(
-            parse_command(br#"{"cmd":"set_fidelity","mode":"approximate"}"#).unwrap(),
-            ExploreCommand::SetFidelity(FidelityMode::Approximate)
-        );
-        assert_eq!(
-            parse_command(br#"{"cmd":"set_fidelity","mode":"exact"}"#).unwrap(),
-            ExploreCommand::SetFidelity(FidelityMode::Exact)
-        );
-        assert_eq!(
-            parse_command(br#"{"cmd":"await_exact"}"#).unwrap(),
-            ExploreCommand::AwaitExact
-        );
-        let err = parse_command(br#"{"cmd":"set_fidelity","mode":"fuzzy"}"#).unwrap_err();
-        assert_eq!(err.kind(), "bad_command");
+    fn removed_v2_commands_are_unknown() {
+        for body in [
+            &br#"{"cmd":"set_fidelity","mode":"approximate"}"#[..],
+            br#"{"cmd":"set_fidelity","mode":"exact"}"#,
+            br#"{"cmd":"await_exact"}"#,
+        ] {
+            let err = parse_command(body).unwrap_err();
+            assert_eq!(err.kind(), "bad_command");
+            assert!(err.message().contains("unknown cmd"), "{}", err.message());
+        }
     }
 
     #[test]
@@ -578,29 +523,9 @@ mod tests {
             ExploreCommand::SetK(3)
         );
         assert_eq!(
-            parse_command(br#"{"cmd":"await_exact","deadline_ms":250}"#).unwrap(),
-            ExploreCommand::AwaitExact
+            parse_command(br#"{"cmd":"set_l","value":5,"fidelity":"approximate"}"#).unwrap(),
+            ExploreCommand::SetL(5)
         );
-    }
-
-    #[test]
-    fn fidelity_json_shapes() {
-        assert_eq!(
-            fidelity_json(Fidelity::Exact).to_text(),
-            r#"{"mode":"exact"}"#
-        );
-        assert_eq!(
-            fidelity_json(Fidelity::Refined).to_text(),
-            r#"{"mode":"refined"}"#
-        );
-        let approx = fidelity_json(Fidelity::Approximate {
-            rel_err: 0.25,
-            confidence: 0.95,
-        })
-        .to_text();
-        assert!(approx.contains(r#""mode":"approximate""#), "{approx}");
-        assert!(approx.contains(r#""rel_err":0.25"#), "{approx}");
-        assert!(approx.contains(r#""confidence":0.95"#), "{approx}");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! | Method · path                         | Does                                        |
 //! |---------------------------------------|---------------------------------------------|
-//! | `POST /api/session`                   | create a session (optional `budget_bytes`, `fidelity`) |
+//! | `POST /api/session`                   | create a session (optional `budget_bytes`)  |
 //! | `POST /api/session/{id}/command`      | apply one command, returns view + provenance|
 //! | `GET /api/session/{id}`               | session stats (resident or checkpointed)    |
 //! | `POST /api/session/{id}/checkpoint`   | checkpoint now (session stays resident)     |
@@ -296,13 +296,6 @@ impl Gateway {
                     ServeError::BadCommand("\"budget_bytes\" must be a non-negative integer".into())
                 })?)),
             };
-            // v2 field; absent (a v1 client) means exact — the v1 behavior.
-            if let Some(v) = doc.get("fidelity") {
-                let mode = v.as_str().ok_or_else(|| {
-                    ServeError::BadCommand("\"fidelity\" must be a string".into())
-                })?;
-                spec.fidelity = crate::api::parse_fidelity_mode(mode)?;
-            }
         }
         let id = self.sessions.create(spec)?;
         Ok(Json::obj([("session", Json::from(hex(id)))]))

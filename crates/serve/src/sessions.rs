@@ -271,7 +271,7 @@ impl SessionStore {
     }
 
     /// Create a fresh session from `spec` and return its id. The spec's
-    /// budget override and default fidelity are applied by
+    /// budget override is applied by
     /// [`Explorer::open_session`], the one documented front door.
     pub fn create(&self, spec: SessionSpec) -> Result<u64, ServeError> {
         self.admit()?;

@@ -1,14 +1,17 @@
 //! Checkpoint round-trips: restart restore is bit-identical, eviction
 //! under a tight resident cap is transparent, and write faults on the
 //! checkpoint path degrade — they never corrupt a session or a durable
-//! checkpoint.
+//! checkpoint. A checkpoint in an older format is a typed "unknown
+//! session", never a restore.
 
 mod common;
 
-use common::{bare_replay, gateway_with, script, session_id, temp_dir, view_text};
+use common::{bare_replay, gateway_with, script, session_id, temp_dir, view_text, SQL};
 use qagview_common::io::{FaultIo, FaultKind};
-use qagview_common::wire::checksum64;
-use qagview_interactive::ExplorerConfig;
+use qagview_common::wire::{checksum64, Writer};
+use qagview_common::StoreErrorKind;
+use qagview_interactive::checkpoint::CHECKPOINT_MAGIC;
+use qagview_interactive::{checkpoint_file_name, ExplorerConfig, SessionCheckpoint};
 use qagview_serve::{Gateway, SessionConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -187,5 +190,76 @@ fn checkpoint_write_faults_degrade_never_corrupt() {
     let resp = command(&gw2, &a, next);
     assert!(restored(&resp));
     assert_eq!(view_text(&resp), *bare_replay(&full).last().unwrap());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A version-2 checkpoint image (the format that carried the fidelity
+/// bytes of the removed sampled mode) of a session at `sql` with the
+/// default knobs and no previous view.
+fn version_2_image(sql: &str) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_bytes(&CHECKPOINT_MAGIC);
+    w.put_u32(2);
+    w.put_u64(0); // checksum, patched below
+    w.put_u8(1); // state present
+    w.put_str_u32(sql);
+    for knob in [4u64, 8, 2] {
+        w.put_u64(knob);
+    }
+    w.put_u8(0); // no threshold override
+    w.put_u8(0); // no drill
+    w.put_u8(0); // fidelity: exact
+    w.put_u8(0); // no previous view
+    w.put_u8(0); // no budget override
+    w.put_u64(0); // retained bytes
+    w.put_u8(0); // default fidelity: exact
+    w.put_u8(1); // background refinement on
+    let sum = checksum64(&w.as_bytes()[20..]);
+    w.patch_u64(12, sum);
+    w.into_bytes()
+}
+
+#[test]
+fn a_version_2_checkpoint_is_a_typed_unknown_session() {
+    let dir = temp_dir("v2");
+    let gw = gateway_with(ExplorerConfig::default(), sessions_with_dir(&dir, 1));
+    let a = create(&gw);
+    command(&gw, &a, &script(0)[0]);
+    create(&gw); // evicts a, writing its checkpoint
+    let path = dir.join(checkpoint_file_name(u64::from_str_radix(&a, 16).unwrap()));
+    assert!(path.exists(), "eviction must have checkpointed a");
+
+    // An upgrade left a version-2 image where a's checkpoint was.
+    let image = version_2_image(SQL);
+    assert_eq!(
+        SessionCheckpoint::from_bytes(&image)
+            .unwrap_err()
+            .store_kind(),
+        Some(StoreErrorKind::UnsupportedVersion)
+    );
+    std::fs::write(&path, &image).unwrap();
+
+    let restored_count = || {
+        gw.metrics()
+            .sessions_restored
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    let before = restored_count();
+    let (status, body) = req(
+        &gw,
+        "POST",
+        &format!("/api/session/{a}/command"),
+        r#"{"cmd":"set_k","value":2}"#,
+    );
+    assert_eq!(status, 404, "{body}");
+    let doc = qagview_common::json::parse(&body).unwrap();
+    assert_eq!(
+        doc.path("error.kind").and_then(|k| k.as_str()),
+        Some("unknown_session"),
+        "{body}"
+    );
+    assert!(body.contains("checkpoint unusable"), "{body}");
+    assert_eq!(restored_count(), before, "nothing may be restored");
+    assert_eq!(gw.sessions().resident(), 1, "the refusal admitted nothing");
     std::fs::remove_dir_all(&dir).unwrap();
 }

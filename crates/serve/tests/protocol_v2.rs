@@ -1,12 +1,13 @@
-//! Wire-protocol v2 coverage: a v1-shaped client still round-trips
-//! exact-mode sessions untouched, and the new fidelity surface
-//! (`fidelity` on create, `set_fidelity` / `await_exact` commands, the
-//! typed fidelity objects in responses) behaves end to end over HTTP.
+//! Wire-protocol compatibility: a v1-shaped client still round-trips
+//! exact sessions untouched, and the clients of the removed v2 fidelity
+//! surface get well-defined answers — a `fidelity` field on create is
+//! ignored (the session is exact), and `set_fidelity` / `await_exact` are
+//! typed unknown-command refusals that leave the session as it was.
 
 mod common;
 
-use common::{bare_replay, once, script, session_id, SQL};
-use qagview_common::json::{self, Json};
+use common::{bare_replay, once, script, session_id, view_text};
+use qagview_common::json;
 use qagview_serve::{Server, ServerConfig, SessionConfig};
 use std::sync::Arc;
 
@@ -35,22 +36,28 @@ fn v1_view(response_body: &str) -> String {
     view.to_text()
 }
 
-fn fidelity_mode(response_body: &str) -> String {
+fn digest(response_body: &str) -> String {
     json::parse(response_body)
         .unwrap()
-        .get("fidelity")
-        .and_then(|f| f.get("mode"))
-        .and_then(|m| m.as_str().map(str::to_string))
-        .expect("v2 response carries a fidelity object")
+        .get("digest")
+        .and_then(|d| d.as_str().map(str::to_string))
+        .expect("response carries a digest")
 }
 
-fn summary_text(response_body: &str) -> String {
-    json::parse(response_body)
-        .unwrap()
-        .get("view")
-        .and_then(|v| v.get("summary"))
-        .expect("view carries a summary")
-        .to_text()
+/// Run `script(0)` on a session created with `create_body` and return
+/// every response's view digest.
+fn script_digests(addr: std::net::SocketAddr, create_body: &[u8]) -> Vec<String> {
+    let (status, body) = once(addr, "POST", "/api/session", create_body);
+    assert_eq!(status, 200, "{body}");
+    let path = format!("/api/session/{}/command", session_id(&body));
+    script(0)
+        .iter()
+        .map(|cmd| {
+            let (status, body) = once(addr, "POST", &path, cmd.as_bytes());
+            assert_eq!(status, 200, "{cmd} -> {body}");
+            digest(&body)
+        })
+        .collect()
 }
 
 #[test]
@@ -60,7 +67,7 @@ fn v1_shaped_client_round_trips_exact_sessions() {
         Server::start(Arc::clone(&gw), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.addr();
 
-    // v1 create bodies: empty, and budget-only. No fidelity field.
+    // A v1 create body: empty.
     let (status, body) = once(addr, "POST", "/api/session", b"");
     assert_eq!(status, 200, "{body}");
     let sid = session_id(&body);
@@ -71,76 +78,54 @@ fn v1_shaped_client_round_trips_exact_sessions() {
         .map(|cmd| {
             let (status, body) = once(addr, "POST", &path, cmd.as_bytes());
             assert_eq!(status, 200, "{cmd} -> {body}");
-            // The server now stamps "v":2 and a fidelity object; a
-            // get-based v1 client never looks at them.
-            assert!(body.contains("\"v\":2"), "{body}");
-            assert_eq!(fidelity_mode(&body), "exact");
+            // The server stamps "v":3; a get-based v1 client never looks.
+            assert!(body.contains("\"v\":3"), "{body}");
+            assert!(!body.contains("fidelity"), "{body}");
             v1_view(&body)
         })
         .collect();
 
     // The views a v1 client extracts are byte-identical to the bare
-    // sequential oracle — the v1 contract, unchanged under v2.
+    // sequential oracle — the v1 contract, unchanged.
     assert_eq!(views, bare_replay(&script(0)));
     server.shutdown();
 }
 
-#[test]
-fn approximate_session_promotes_over_the_wire() {
+/// Create one session per body in `bodies` and assert each serves the
+/// same view digests as a session created with an empty body.
+fn assert_create_bodies_serve_plain_sessions(bodies: &[&[u8]]) {
     let gw = common::gateway(SessionConfig::default());
     let mut server =
         Server::start(Arc::clone(&gw), "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.addr();
 
-    // v2 create: fidelity requested at the session level.
-    let (status, body) = once(
-        addr,
-        "POST",
-        "/api/session",
+    let plain = script_digests(addr, b"");
+    for body in bodies {
+        assert_eq!(
+            script_digests(addr, body),
+            plain,
+            "{}",
+            String::from_utf8_lossy(body)
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn fidelity_on_create_is_ignored_and_the_session_is_exact() {
+    assert_create_bodies_serve_plain_sessions(&[
         br#"{"fidelity":"approximate"}"#,
-    );
-    assert_eq!(status, 200, "{body}");
-    let sid = session_id(&body);
-    let path = format!("/api/session/{sid}/command");
-
-    let set_query = format!(r#"{{"cmd":"set_query","sql":"{SQL}"}}"#);
-    let (status, approx) = once(addr, "POST", &path, set_query.as_bytes());
-    assert_eq!(status, 200, "{approx}");
-    assert_eq!(fidelity_mode(&approx), "approximate");
-    let doc = json::parse(&approx).unwrap();
-    let fid = doc.get("fidelity").unwrap();
-    assert!(fid.get("rel_err").is_some(), "{approx}");
-    assert!(
-        matches!(fid.get("confidence"), Some(Json::Num(c)) if (c - 0.95).abs() < 1e-12),
-        "{approx}"
-    );
-
-    // Promote. The response is the refined diff; the summary it carries
-    // is the exact one.
-    let (status, refined) = once(addr, "POST", &path, br#"{"cmd":"await_exact"}"#);
-    assert_eq!(status, 200, "{refined}");
-    assert_eq!(fidelity_mode(&refined), "refined");
-
-    // A cold exact session over the same SQL must serve the same summary
-    // bytes.
-    let (status, body) = once(addr, "POST", "/api/session", br#"{"fidelity":"exact"}"#);
-    assert_eq!(status, 200, "{body}");
-    let sid2 = session_id(&body);
-    let path2 = format!("/api/session/{sid2}/command");
-    let (status, exact) = once(addr, "POST", &path2, set_query.as_bytes());
-    assert_eq!(status, 200, "{exact}");
-    assert_eq!(fidelity_mode(&exact), "exact");
-    assert_eq!(summary_text(&refined), summary_text(&exact));
-
-    // After promotion the session serves exact views.
-    let (status, after) = once(addr, "POST", &path, br#"{"cmd":"set_k","value":3}"#);
-    assert_eq!(status, 200, "{after}");
-    assert_eq!(fidelity_mode(&after), "exact");
-    server.shutdown();
+        br#"{"fidelity":"exact"}"#,
+    ]);
 }
 
 #[test]
-fn set_fidelity_command_switches_a_live_session() {
+fn bad_fidelity_values_on_create_are_ignored() {
+    assert_create_bodies_serve_plain_sessions(&[br#"{"fidelity":"fuzzy"}"#, br#"{"fidelity":7}"#]);
+}
+
+#[test]
+fn removed_fidelity_verbs_are_unknown_commands() {
     let gw = common::gateway(SessionConfig::default());
     let mut server =
         Server::start(Arc::clone(&gw), "127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -150,57 +135,40 @@ fn set_fidelity_command_switches_a_live_session() {
     assert_eq!(status, 200, "{body}");
     let sid = session_id(&body);
     let path = format!("/api/session/{sid}/command");
+    let info = |addr| {
+        let (status, body) = once(addr, "GET", &format!("/api/session/{sid}"), b"");
+        assert_eq!(status, 200, "{body}");
+        body
+    };
 
-    let set_query = format!(r#"{{"cmd":"set_query","sql":"{SQL}"}}"#);
-    let (status, body) = once(addr, "POST", &path, set_query.as_bytes());
-    assert_eq!(status, 200, "{body}");
-    assert_eq!(fidelity_mode(&body), "exact");
+    let script = script(0);
+    let (status, first) = once(addr, "POST", &path, script[0].as_bytes());
+    assert_eq!(status, 200, "{first}");
+    let before = info(addr);
+    assert!(before.contains("\"seq\":1"), "{before}");
 
-    let (status, body) = once(
-        addr,
-        "POST",
-        &path,
-        br#"{"cmd":"set_fidelity","mode":"approximate"}"#,
-    );
-    assert_eq!(status, 200, "{body}");
-    assert_eq!(fidelity_mode(&body), "approximate");
-
-    let (status, body) = once(
-        addr,
-        "POST",
-        &path,
+    for cmd in [
+        &br#"{"cmd":"set_fidelity","mode":"approximate"}"#[..],
         br#"{"cmd":"set_fidelity","mode":"exact"}"#,
-    );
-    assert_eq!(status, 200, "{body}");
-    assert_eq!(fidelity_mode(&body), "exact");
-    server.shutdown();
-}
+        br#"{"cmd":"await_exact"}"#,
+    ] {
+        let (status, body) = once(addr, "POST", &path, cmd);
+        assert_eq!(status, 400, "{body}");
+        let doc = json::parse(&body).unwrap();
+        assert_eq!(
+            doc.path("error.kind").and_then(|k| k.as_str()),
+            Some("bad_command"),
+            "{body}"
+        );
+        assert!(body.contains("unknown cmd"), "{body}");
+        assert_eq!(info(addr), before, "a refusal must not move the session");
+    }
 
-#[test]
-fn bad_fidelity_values_are_typed_refusals() {
-    let gw = common::gateway(SessionConfig::default());
-    let mut server =
-        Server::start(Arc::clone(&gw), "127.0.0.1:0", ServerConfig::default()).unwrap();
-    let addr = server.addr();
-
-    let (status, body) = once(addr, "POST", "/api/session", br#"{"fidelity":"fuzzy"}"#);
-    assert_eq!(status, 400, "{body}");
-    assert!(body.contains("bad_command"), "{body}");
-
-    let (status, body) = once(addr, "POST", "/api/session", br#"{"fidelity":7}"#);
-    assert_eq!(status, 400, "{body}");
-
-    let (status, body) = once(addr, "POST", "/api/session", b"");
-    assert_eq!(status, 200);
-    let sid = session_id(&body);
-    let path = format!("/api/session/{sid}/command");
-    let (status, body) = once(
-        addr,
-        "POST",
-        &path,
-        br#"{"cmd":"set_fidelity","mode":"fuzzy"}"#,
-    );
-    assert_eq!(status, 400, "{body}");
-    assert!(body.contains("bad_command"), "{body}");
+    // The next command continues the sequence as if the refused verbs had
+    // never been sent.
+    let (status, next) = once(addr, "POST", &path, script[1].as_bytes());
+    assert_eq!(status, 200, "{next}");
+    assert!(next.contains("\"seq\":2"), "{next}");
+    assert_eq!(view_text(&next), bare_replay(&script[..2])[1]);
     server.shutdown();
 }

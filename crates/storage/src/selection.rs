@@ -68,16 +68,6 @@ impl SelectionVector {
         self.rows.extend(start..end);
     }
 
-    /// Reset to an arbitrary ascending set of row ids — the state of a
-    /// *sampled* batch before any predicate has run. The ids must be
-    /// strictly ascending so downstream kernels keep their row-order
-    /// accumulation contract (debug-asserted).
-    pub fn fill_ids(&mut self, ids: &[u32]) {
-        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids must ascend");
-        self.rows.clear();
-        self.rows.extend_from_slice(ids);
-    }
-
     /// The surviving row ids, in ascending order.
     pub fn rows(&self) -> &[u32] {
         &self.rows
@@ -174,18 +164,6 @@ mod tests {
         assert_eq!(s.rows(), &[0, 1, 2, 3]);
         assert_eq!(s.len(), 4);
         assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn fill_ids_takes_arbitrary_ascending_rows() {
-        let mut s = SelectionVector::new();
-        s.fill_ids(&[1, 4, 7]);
-        assert_eq!(s.rows(), &[1, 4, 7]);
-        let col = [0i64, 10, 0, 0, 20, 0, 0, 5];
-        s.retain_cmp(&col, SelOp::Ge, 10);
-        assert_eq!(s.rows(), &[1, 4]);
-        s.fill_ids(&[]);
-        assert!(s.is_empty());
     }
 
     #[test]
