@@ -98,7 +98,6 @@ fn engine_over(io: &Arc<FaultIo>, dir: &Path, catalog: Arc<Catalog>, seed: u64) 
                 seed,
                 ..Default::default()
             },
-            parallel_planes: false,
             ..Default::default()
         },
     ))

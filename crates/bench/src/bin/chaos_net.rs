@@ -26,15 +26,14 @@
 //! Any violation is recorded in the event log (the CI artifact) and
 //! fails the process with a nonzero exit.
 
-use qagview_bench::json;
+use qagview_bench::{digest_of, json, stable_digest, Client};
 use qagview_interactive::{Explorer, ExplorerConfig};
 use qagview_serve::{
     Gateway, GatewayConfig, NetFaultKind, NetFaultPlan, NetScript, Server, ServerConfig,
     SessionConfig, ALL_NET_FAULT_KINDS,
 };
 use qagview_storage::{Catalog, Cell, ColumnType, Schema, TableBuilder};
-use std::io::{BufRead, BufReader, Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
@@ -129,14 +128,6 @@ fn checksum_hex(text: &str) -> String {
     format!("{:016x}", qagview_common::wire::checksum64(text.as_bytes()))
 }
 
-fn stable_digest(view: &json::Json) -> String {
-    let mut v = view.clone();
-    if let json::Json::Obj(map) = &mut v {
-        map.remove("transition");
-    }
-    checksum_hex(&v.to_text())
-}
-
 /// Fault-free oracle: per-variant, per-step response digests from a bare
 /// sequential [`qagview_interactive::ExploreSession`] replay.
 fn oracle_digests(catalog: &Arc<Catalog>, variants: usize) -> Vec<Vec<StepOracle>> {
@@ -208,79 +199,6 @@ fn server_cfg(net_script: Option<Arc<NetScript>>) -> ServerConfig {
     }
 }
 
-/// A blocking HTTP/1.1 client whose transport failures are values, not
-/// panics — chaos clients are supposed to survive them.
-struct ChaosClient {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl ChaosClient {
-    fn connect(addr: SocketAddr) -> std::io::Result<ChaosClient> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        Ok(ChaosClient {
-            reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
-        })
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &[u8]) -> std::io::Result<(u16, String)> {
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        self.writer.write_all(head.as_bytes())?;
-        self.writer.write_all(body)?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            ));
-        }
-        let status: u16 = line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line")
-            })?;
-        let mut content_length = 0usize;
-        loop {
-            let mut h = String::new();
-            if self.reader.read_line(&mut h)? == 0 {
-                return Err(std::io::ErrorKind::UnexpectedEof.into());
-            }
-            let h = h.trim_end();
-            if h.is_empty() {
-                break;
-            }
-            if let Some(v) = h.to_ascii_lowercase().strip_prefix("content-length:") {
-                content_length = v.trim().parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "bad content length")
-                })?;
-            }
-        }
-        let mut buf = vec![0u8; content_length];
-        self.reader.read_exact(&mut buf)?;
-        Ok((
-            status,
-            String::from_utf8(buf)
-                .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8"))?,
-        ))
-    }
-}
-
-fn digest_of(response_body: &str) -> Option<String> {
-    json::parse(response_body)
-        .ok()?
-        .get("digest")
-        .and_then(|d| d.as_str().map(str::to_string))
-}
-
 fn session_of(response_body: &str) -> Option<String> {
     json::parse(response_body)
         .ok()?
@@ -290,13 +208,16 @@ fn session_of(response_body: &str) -> Option<String> {
 
 const MAX_ATTEMPTS: usize = 8;
 
+/// Read timeout of every chaos client connection.
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Issue one request, reconnecting and resending on transport failure or
 /// a retryable refusal (408/503). A sticky crash fault is "rebooted"
 /// (the network heals) after it has been observed — the client side of a
 /// flapping link. Returns the first definitive `(status, body, retried)`
 /// where `retried` records whether the request was sent more than once.
 fn request_with_retry(
-    client: &mut Option<ChaosClient>,
+    client: &mut Option<Client>,
     addr: SocketAddr,
     net: Option<&Arc<NetScript>>,
     method: &str,
@@ -306,7 +227,7 @@ fn request_with_retry(
     let mut sent = 0usize;
     for attempt in 0..MAX_ATTEMPTS {
         if client.is_none() {
-            match ChaosClient::connect(addr) {
+            match Client::connect(addr, READ_TIMEOUT) {
                 Ok(c) => *client = Some(c),
                 Err(e) => {
                     if attempt + 1 == MAX_ATTEMPTS {
@@ -351,7 +272,7 @@ fn drive_session(
     variant: usize,
     oracle: &[Vec<StepOracle>],
 ) -> Result<(), String> {
-    let mut client: Option<ChaosClient> = None;
+    let mut client: Option<Client> = None;
     let (status, body, _) =
         request_with_retry(&mut client, addr, net, "POST", "/api/session", b"")?;
     if status != 200 {
@@ -472,7 +393,7 @@ fn run_kill_trial(
     let gw = gateway(catalog, Some(dir.to_path_buf()));
     let mut srv =
         Server::start(Arc::clone(&gw), "127.0.0.1:0", server_cfg(None)).expect("bind kill server");
-    let mut client = Some(ChaosClient::connect(srv.addr()).expect("connect"));
+    let mut client = Some(Client::connect(srv.addr(), READ_TIMEOUT).expect("connect"));
     let (status, body, _) =
         match request_with_retry(&mut client, srv.addr(), None, "POST", "/api/session", b"") {
             Ok(r) => r,
@@ -513,7 +434,7 @@ fn run_kill_trial(
     let gw2 = gateway(catalog, Some(dir.to_path_buf()));
     let mut srv2 =
         Server::start(Arc::clone(&gw2), "127.0.0.1:0", server_cfg(None)).expect("rebind server");
-    let mut client = Some(ChaosClient::connect(srv2.addr()).expect("reconnect"));
+    let mut client = Some(Client::connect(srv2.addr(), READ_TIMEOUT).expect("reconnect"));
     for (step, body) in bodies.iter().enumerate().skip(kill_after) {
         let result = request_with_retry(
             &mut client,
@@ -567,7 +488,7 @@ fn run_drain_phase(catalog: &Arc<Catalog>, oracle: &[Vec<StepOracle>], dir: &Pat
     let split = 4usize; // commands before the drain; the rest resume after
     let mut ids = Vec::new();
     for (v, oracle_v) in oracle.iter().enumerate().take(n) {
-        let mut client = Some(ChaosClient::connect(srv.addr()).expect("connect"));
+        let mut client = Some(Client::connect(srv.addr(), READ_TIMEOUT).expect("connect"));
         let (_, body, _) =
             request_with_retry(&mut client, srv.addr(), None, "POST", "/api/session", b"")
                 .expect("create");
@@ -607,7 +528,7 @@ fn run_drain_phase(catalog: &Arc<Catalog>, oracle: &[Vec<StepOracle>], dir: &Pat
     let mut srv2 =
         Server::start(Arc::clone(&gw2), "127.0.0.1:0", server_cfg(None)).expect("rebind server");
     for (v, id) in ids.iter().enumerate() {
-        let mut client = Some(ChaosClient::connect(srv2.addr()).expect("reconnect"));
+        let mut client = Some(Client::connect(srv2.addr(), READ_TIMEOUT).expect("reconnect"));
         for (step, body) in script(v).iter().enumerate().skip(split) {
             let path = format!("/api/session/{id}/command");
             let (status, resp, retried) = request_with_retry(

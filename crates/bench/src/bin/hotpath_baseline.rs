@@ -19,9 +19,9 @@
 //!   `EvalMode::Delta` (Algorithm 2);
 //! * **plane build** — a cold `(k, D)`-plane precomputation (§6.2) over an
 //!   `Arc`-shared candidate index: the legacy per-round re-evaluation
-//!   engine (`DescentEngine::PerRoundReEval`: O(p²) merge evaluations every
+//!   oracle (`Precomputed::build_reeval`: O(p²) merge evaluations every
 //!   round, O(p²) lifetime diffing) vs the merge-frontier engine
-//!   (`DescentEngine::Frontier`: pair LCAs resolved once into a warmed
+//!   (`Precomputed::build`: pair LCAs resolved once into a warmed
 //!   prototype shared by every `D`-descent, lazy bound-pruned Max-Avg
 //!   selection, event-driven lifetimes, D ∈ {0, 1} built once). Every
 //!   stored solution across the whole `(k, D)` grid is asserted
@@ -53,8 +53,7 @@ use qagview_core::{
 };
 use qagview_datagen::movielens::{self, MovieLensConfig};
 use qagview_interactive::{
-    store, DescentEngine, ExploreCommand, Explorer, ExplorerConfig, PrecomputeConfig, Precomputed,
-    SessionSpec,
+    store, ExploreCommand, Explorer, ExplorerConfig, PrecomputeConfig, Precomputed, SessionSpec,
 };
 use qagview_lattice::{AnswerSet, CandidateIndex};
 use qagview_query::{
@@ -160,7 +159,7 @@ fn bench_plane_build_for(
     let arc_answers = Arc::new(answers.clone());
     let arc_index = Arc::new(index.clone());
     let d_max = wl.m;
-    let cfg_frontier = PrecomputeConfig {
+    let cfg = PrecomputeConfig {
         k_min: 1,
         k_max: PLANE_K_MAX,
         d_min: 0,
@@ -168,23 +167,14 @@ fn bench_plane_build_for(
         pool_factor: 2,
         eval: EvalMode::Delta,
         parallel: false,
-        engine: DescentEngine::Frontier,
-    };
-    let cfg_reeval = PrecomputeConfig {
-        engine: DescentEngine::PerRoundReEval,
-        ..cfg_frontier
     };
 
     // Byte-equality across the whole (k, D) grid before timing anything.
-    let frontier = Precomputed::build_with_index(
-        Arc::clone(&arc_answers),
-        Arc::clone(&arc_index),
-        cfg_frontier,
-    )
-    .expect("frontier build");
-    let reeval =
-        Precomputed::build_with_index(Arc::clone(&arc_answers), Arc::clone(&arc_index), cfg_reeval)
-            .expect("re-eval build");
+    let frontier =
+        Precomputed::build_with_index(Arc::clone(&arc_answers), Arc::clone(&arc_index), cfg)
+            .expect("frontier build");
+    let reeval = Precomputed::build_reeval(Arc::clone(&arc_answers), Arc::clone(&arc_index), cfg)
+        .expect("re-eval build");
     for d in 0..=d_max {
         for k in 1..=PLANE_K_MAX {
             let a = frontier.solution(k, d).expect("frontier solution");
@@ -199,16 +189,11 @@ fn bench_plane_build_for(
     drop((frontier, reeval));
 
     let reeval_ms = time_best_ms(3, || {
-        Precomputed::build_with_index(Arc::clone(&arc_answers), Arc::clone(&arc_index), cfg_reeval)
-            .unwrap()
+        Precomputed::build_reeval(Arc::clone(&arc_answers), Arc::clone(&arc_index), cfg).unwrap()
     });
     let frontier_ms = time_best_ms(3, || {
-        Precomputed::build_with_index(
-            Arc::clone(&arc_answers),
-            Arc::clone(&arc_index),
-            cfg_frontier,
-        )
-        .unwrap()
+        Precomputed::build_with_index(Arc::clone(&arc_answers), Arc::clone(&arc_index), cfg)
+            .unwrap()
     });
     let speedup = reeval_ms / frontier_ms;
 
@@ -403,7 +388,6 @@ fn bench_store_warm_start(all_ok: &mut bool) -> String {
         pool_factor: 2,
         eval: EvalMode::Delta,
         parallel: false,
-        engine: DescentEngine::Frontier,
     };
     let (first_k, first_d) = (20usize, 2usize);
 
@@ -663,9 +647,7 @@ fn bench_session_tick(all_ok: &mut bool) -> String {
 }
 
 fn main() {
-    let threads = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1);
+    let threads = qagview_common::par::available_workers();
     let mut sections = Vec::new();
     let mut plane_sections = Vec::new();
     let mut all_ok = true;

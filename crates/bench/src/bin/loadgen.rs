@@ -32,7 +32,7 @@
 //! ```
 
 use qagview_bench::json::{self, Json};
-use qagview_bench::repo_root;
+use qagview_bench::{digest_of, repo_root, stable_digest, Client};
 use qagview_common::wire::checksum64;
 use qagview_datagen::movielens::{self, MovieLensConfig};
 use qagview_interactive::{ExploreCommand, ExploreResponse, Explorer, ExplorerConfig, SessionSpec};
@@ -41,11 +41,10 @@ use qagview_serve::{
     view_json, Gateway, GatewayConfig, NetFaultKind, NetScript, Server, ServerConfig, SessionConfig,
 };
 use qagview_storage::Catalog;
-use std::io::{BufRead, BufReader, Read as _, Write as _};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 const SQL: &str = "SELECT hdec, agegrp, gender, occupation, AVG(rating) AS val FROM ratingtable \
                    GROUP BY hdec, agegrp, gender, occupation \
@@ -120,19 +119,6 @@ fn digest_hex(resp: &ExploreResponse) -> String {
     format!("{:016x}", checksum64(view_json(resp).to_text().as_bytes()))
 }
 
-/// The view digest with the `transition` panel dropped. A transition
-/// describes the delta from the *previous* view, so a command resent
-/// after a transport failure (absolute state, identical summary/plot)
-/// legitimately reports a self-transition; retried steps are checked
-/// against this stable digest instead of the full one.
-fn stable_digest_hex(view: &Json) -> String {
-    let mut v = view.clone();
-    if let Json::Obj(map) = &mut v {
-        map.remove("transition");
-    }
-    format!("{:016x}", checksum64(v.to_text().as_bytes()))
-}
-
 /// Per-step oracle digests: the full view and its transition-less twin.
 struct OracleStep {
     full: String,
@@ -173,7 +159,7 @@ fn oracle_digests(catalog: &Arc<Catalog>, scripts: &[Vec<Step>]) -> Vec<Vec<Orac
                     let resp = session.apply(cmd).expect("oracle replay step");
                     let step = OracleStep {
                         full: digest_hex(&resp),
-                        stable: stable_digest_hex(&view_json(&resp)),
+                        stable: stable_digest(&view_json(&resp)),
                     };
                     prev = Some(resp);
                     step
@@ -183,103 +169,8 @@ fn oracle_digests(catalog: &Arc<Catalog>, scripts: &[Vec<Step>]) -> Vec<Vec<Orac
         .collect()
 }
 
-/// A minimal blocking keep-alive HTTP/1.1 client.
-struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl Client {
-    fn connect(addr: SocketAddr) -> Client {
-        let stream = TcpStream::connect(addr).expect("connect");
-        stream.set_nodelay(true).expect("nodelay");
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(60)))
-            .expect("read timeout");
-        Client {
-            reader: BufReader::new(stream.try_clone().expect("clone stream")),
-            writer: stream,
-        }
-    }
-
-    /// Like [`Client::request`] but transport failures are values — the
-    /// chaos pass is supposed to survive them.
-    fn try_request(
-        &mut self,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> std::io::Result<(u16, String)> {
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        self.writer.write_all(head.as_bytes())?;
-        self.writer.write_all(body)?;
-        self.writer.flush()?;
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
-            return Err(std::io::ErrorKind::UnexpectedEof.into());
-        }
-        let status: u16 = line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "status line"))?;
-        let mut content_length = 0usize;
-        loop {
-            let mut h = String::new();
-            if self.reader.read_line(&mut h)? == 0 {
-                return Err(std::io::ErrorKind::UnexpectedEof.into());
-            }
-            let h = h.trim_end();
-            if h.is_empty() {
-                break;
-            }
-            if let Some(v) = h.to_ascii_lowercase().strip_prefix("content-length:") {
-                content_length = v.trim().parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, "content length")
-                })?;
-            }
-        }
-        let mut buf = vec![0u8; content_length];
-        self.reader.read_exact(&mut buf)?;
-        let body = String::from_utf8(buf)
-            .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8"))?;
-        Ok((status, body))
-    }
-
-    fn request(&mut self, method: &str, path: &str, body: &[u8]) -> (u16, String) {
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
-            body.len()
-        );
-        self.writer.write_all(head.as_bytes()).expect("send head");
-        self.writer.write_all(body).expect("send body");
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("status line");
-        let status: u16 = line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .expect("status code");
-        let mut content_length = 0usize;
-        loop {
-            let mut h = String::new();
-            self.reader.read_line(&mut h).expect("header line");
-            let h = h.trim_end();
-            if h.is_empty() {
-                break;
-            }
-            if let Some(v) = h.to_ascii_lowercase().strip_prefix("content-length:") {
-                content_length = v.trim().parse().expect("content length");
-            }
-        }
-        let mut buf = vec![0u8; content_length];
-        self.reader.read_exact(&mut buf).expect("body");
-        (status, String::from_utf8(buf).expect("utf-8 body"))
-    }
-}
+/// Read timeout of every harness connection.
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Materialize one step's request body, deriving drill patterns from the
 /// previous response exactly as the oracle does.
@@ -301,13 +192,6 @@ fn step_body(step: &Step, prev: Option<&str>) -> String {
             format!(r#"{{"cmd":"drill_down","pattern":[{stars}]}}"#)
         }
     }
-}
-
-fn digest_of(response_body: &str) -> Option<String> {
-    json::parse(response_body)
-        .ok()?
-        .get("digest")
-        .and_then(|d| d.as_str().map(str::to_string))
 }
 
 struct LoadOutcome {
@@ -332,12 +216,14 @@ fn run_load(
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 scope.spawn(move || {
-                    let mut client = Client::connect(addr);
+                    let mut client = Client::connect(addr, READ_TIMEOUT).expect("connect");
                     // This worker owns every session whose index ≡ c.
                     let mine: Vec<usize> = (0..sessions).filter(|s| s % clients == c).collect();
                     let mut ids = Vec::with_capacity(mine.len());
                     for _ in &mine {
-                        let (status, body) = client.request("POST", "/api/session", b"");
+                        let (status, body) = client
+                            .request("POST", "/api/session", b"")
+                            .expect("request");
                         assert_eq!(status, 200, "session create refused: {body}");
                         let id = json::parse(&body)
                             .ok()
@@ -360,7 +246,9 @@ fn run_load(
                             };
                             let body = step_body(step, prev[slot].as_deref());
                             let path = format!("/api/session/{}/command", ids[slot]);
-                            let (status, resp) = client.request("POST", &path, body.as_bytes());
+                            let (status, resp) = client
+                                .request("POST", &path, body.as_bytes())
+                                .expect("request");
                             commands += 1;
                             let expected = &oracle[variant][step_idx].full;
                             if status != 200 || digest_of(&resp).as_ref() != Some(expected) {
@@ -460,8 +348,10 @@ fn tcp_ticks(addr: SocketAddr, clients: usize, ticks_each: usize) -> (f64, f64, 
         let handles: Vec<_> = (0..clients)
             .map(|_| {
                 scope.spawn(move || {
-                    let mut client = Client::connect(addr);
-                    let (status, body) = client.request("POST", "/api/session", b"");
+                    let mut client = Client::connect(addr, READ_TIMEOUT).expect("connect");
+                    let (status, body) = client
+                        .request("POST", "/api/session", b"")
+                        .expect("request");
                     assert_eq!(status, 200, "{body}");
                     let id = json::parse(&body)
                         .ok()
@@ -469,14 +359,17 @@ fn tcp_ticks(addr: SocketAddr, clients: usize, ticks_each: usize) -> (f64, f64, 
                         .expect("session id");
                     let path = format!("/api/session/{id}/command");
                     for body in warm_bodies() {
-                        let (status, resp) = client.request("POST", &path, body.as_bytes());
+                        let (status, resp) = client
+                            .request("POST", &path, body.as_bytes())
+                            .expect("request");
                         assert_eq!(status, 200, "warmup refused: {resp}");
                     }
                     (0..ticks_each)
                         .map(|i| {
                             let t = Instant::now();
-                            let (status, _) =
-                                client.request("POST", &path, TICKS[i % 2].as_bytes());
+                            let (status, _) = client
+                                .request("POST", &path, TICKS[i % 2].as_bytes())
+                                .expect("request");
                             let ms = t.elapsed().as_secs_f64() * 1e3;
                             assert_eq!(status, 200, "tick refused");
                             ms
@@ -524,9 +417,9 @@ fn run_chaos(
         net.schedule((25 + i * 50) as u64, *kind);
     }
     let cfg = ServerConfig {
-        read_timeout: std::time::Duration::from_millis(500),
-        request_deadline: std::time::Duration::from_secs(2),
-        write_timeout: std::time::Duration::from_secs(2),
+        read_timeout: Duration::from_millis(500),
+        request_deadline: Duration::from_secs(2),
+        write_timeout: Duration::from_secs(2),
         net_script: Some(Arc::clone(&net)),
         ..ServerConfig::default()
     };
@@ -549,11 +442,11 @@ fn run_chaos(
                     break None;
                 }
                 if client.is_none() {
-                    client = Some(Client::connect(addr));
+                    client = Some(Client::connect(addr, READ_TIMEOUT).expect("connect"));
                 }
                 let c = client.as_mut().expect("client");
                 if id.is_none() {
-                    match c.try_request("POST", "/api/session", b"") {
+                    match c.request("POST", "/api/session", b"") {
                         Ok((200, body)) => {
                             id = json::parse(&body).ok().and_then(|d| {
                                 d.get("session").and_then(|s| s.as_str().map(String::from))
@@ -572,7 +465,7 @@ fn run_chaos(
                 );
                 let body = step_body(step, prev.as_deref());
                 sent += 1;
-                match c.try_request("POST", &path, body.as_bytes()) {
+                match c.request("POST", &path, body.as_bytes()) {
                     Ok((200, resp)) => break Some((resp, sent > 1)),
                     Ok((408 | 503, _)) => client = None,
                     Ok((status, resp)) => {
@@ -593,7 +486,7 @@ fn run_chaos(
                         json::parse(&resp)
                             .ok()
                             .and_then(|d| d.get("view").cloned())
-                            .is_some_and(|v| stable_digest_hex(&v) == expected.stable)
+                            .is_some_and(|v| stable_digest(&v) == expected.stable)
                     } else {
                         digest_of(&resp).as_ref() == Some(&expected.full)
                     };

@@ -156,6 +156,7 @@ fn fig5() {
             ms(t),
             bu.avg()
         );
+        assert_fig5_bounds(k, "Bottom-Up", bu.avg(), lower_bound, bf.avg());
 
         let t = Instant::now();
         let fo = fixed_order(&answers, &index, &params, Seeding::None, EvalMode::Delta).unwrap();
@@ -166,6 +167,7 @@ fn fig5() {
             ms(t),
             fo.avg()
         );
+        assert_fig5_bounds(k, "Fixed-Order", fo.avg(), lower_bound, bf.avg());
 
         let t = Instant::now();
         let hy = qagview_core::hybrid(&answers, &index, &params, EvalMode::Delta).unwrap();
@@ -176,6 +178,7 @@ fn fig5() {
             ms(t),
             hy.avg()
         );
+        assert_fig5_bounds(k, "Hybrid", hy.avg(), lower_bound, bf.avg());
 
         // Randomized variants: average over 20 seeded runs.
         for (name, mk) in [("Random", true), ("K-Means", false)] {
@@ -199,12 +202,26 @@ fn fig5() {
                 ms(t) / runs as f64,
                 sum / runs as f64
             );
+            assert_fig5_bounds(k, name, sum / runs as f64, lower_bound, bf.avg());
         }
         println!(
             "{:<14} {:>4} {:>14} {:>10.4}",
             "Lower Bound", k, "-", lower_bound
         );
     }
+    println!("check: every heuristic lies in [Lower Bound, BF] at k = 2..4");
+}
+
+/// Fig. 5's claim: every heuristic's value lies between the trivial lower
+/// bound (the average over all answers) and the brute-force optimum. The
+/// slack only absorbs float summation order.
+fn assert_fig5_bounds(k: usize, name: &str, value: f64, lower_bound: f64, bf: f64) {
+    const SLACK: f64 = 1e-9;
+    assert!(
+        value >= lower_bound - SLACK && value <= bf + SLACK,
+        "fig5: {name} = {value:.6} at k={k} lies outside \
+         [Lower Bound {lower_bound:.6}, BF {bf:.6}]"
+    );
 }
 
 /// Fig. 6: runtime/value vs k, L, D, and m.

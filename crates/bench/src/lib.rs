@@ -10,6 +10,9 @@
 
 pub use qagview_common::json;
 
+mod client;
+pub use client::{digest_of, stable_digest, Client};
+
 use qagview_common::Result;
 use qagview_datagen::movielens::{self, MovieLensConfig};
 use qagview_datagen::synthetic::{answer_set, SyntheticConfig};

@@ -23,6 +23,8 @@
 //!   [`FaultIo`] for deterministic fault injection (short reads, torn
 //!   writes, `ENOSPC`, simulated crashes), and [`io::RetryPolicy`] for
 //!   bounded jittered-backoff retry.
+//! * [`par`] — the one worker pool: an ordered parallel map over scoped
+//!   threads, shared by every parallel stage of the engine.
 //! * [`json`] — a dependency-free JSON value, hostile-input-safe parser,
 //!   and deterministic serializer shared by the bench tooling and the
 //!   session server's wire protocol.
@@ -36,6 +38,7 @@ pub mod hash;
 pub mod intern;
 pub mod io;
 pub mod json;
+pub mod par;
 pub mod rng;
 pub mod value;
 pub mod wire;

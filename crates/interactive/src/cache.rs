@@ -1,7 +1,9 @@
-//! A small bounded LRU cache with hit/miss/eviction accounting.
+//! A small bounded LRU cache with hit/miss/eviction accounting, and the
+//! shared cache-layer type built on it.
 //!
-//! Every cache layer of the exploration engine ([`crate::Explorer`]) is
-//! one of these: a capped map whose counters feed the per-command
+//! Every in-memory cache layer of the exploration engine
+//! ([`crate::Explorer`]) is one `Layer`: an [`LruCache`] behind its own
+//! mutex, whose counters feed the per-command
 //! [`crate::explore::CacheProvenance`]. Capacities are small (tens of
 //! entries of expensive artifacts), so eviction scans for the
 //! least-recently-used entry instead of maintaining an intrusive list —
@@ -9,6 +11,17 @@
 
 use qagview_common::FxHashMap;
 use std::hash::Hash;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// Whether a cache layer answered a lookup or had to compute.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheOutcome {
+    /// Served from the cache.
+    Hit,
+    /// Computed cold (and cached for next time).
+    Miss,
+}
 
 /// Cumulative counters of one cache layer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -122,9 +135,97 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
+/// One thread-shareable cache layer: an [`LruCache`] behind its own mutex.
+///
+/// The lock is held only for a probe or an insert; [`Layer::get_or_build`]
+/// runs the build unlocked, so a slow build never blocks other keys. Two
+/// callers racing on the same missing key may both build it; artifacts are
+/// deterministic, so the duplicate is wasted cost only, and the last insert
+/// wins. A poisoned lock (a thread panicked while holding it) is recovered
+/// by clearing the layer — cached artifacts are pure cost, so the worst
+/// case is cold rebuilds — and the recovery is counted.
+#[derive(Debug)]
+pub(crate) struct Layer<K, V> {
+    lru: Mutex<LruCache<K, V>>,
+    recoveries: AtomicU64,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Layer<K, V> {
+    /// A layer holding at most `cap` entries (`cap` is clamped to ≥ 1).
+    pub(crate) fn new(cap: usize) -> Self {
+        Layer {
+            lru: Mutex::new(LruCache::new(cap)),
+            recoveries: AtomicU64::new(0),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, LruCache<K, V>> {
+        self.lru.lock().unwrap_or_else(|poisoned| {
+            self.lru.clear_poison();
+            let mut guard = poisoned.into_inner();
+            guard.clear();
+            self.recoveries.fetch_add(1, Ordering::Relaxed);
+            guard
+        })
+    }
+
+    /// The cached value under `key`, or the result of `build` — run with
+    /// the lock released, and cached when it succeeds. A failed build
+    /// caches nothing and counts as a miss.
+    pub(crate) fn get_or_build<E>(
+        &self,
+        key: K,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, CacheOutcome), E> {
+        // Bound to its own statement so the guard drops before the build.
+        let probe = self.lock().get_cloned(&key);
+        if let Some(v) = probe {
+            return Ok((v, CacheOutcome::Hit));
+        }
+        let v = build()?;
+        self.lock().insert(key, v.clone());
+        Ok((v, CacheOutcome::Miss))
+    }
+
+    /// Snapshot the cumulative counters.
+    pub(crate) fn stats(&self) -> LayerStats {
+        self.lock().stats()
+    }
+
+    /// How many times the lock was recovered from poisoning.
+    pub(crate) fn recoveries(&self) -> u64 {
+        self.recoveries.load(Ordering::Relaxed)
+    }
+
+    /// Poison the lock, as a thread panicking while holding it would.
+    #[cfg(test)]
+    pub(crate) fn poison(&self) {
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = self.lru.lock();
+            panic!("simulated panic while holding the layer lock");
+        }));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn layer_builds_on_miss_caches_and_skips_failed_builds() {
+        let layer: Layer<u32, u32> = Layer::new(2);
+        assert_eq!(
+            layer.get_or_build(1, || Ok::<_, ()>(10)),
+            Ok((10, CacheOutcome::Miss))
+        );
+        assert_eq!(
+            layer.get_or_build(1, || -> Result<u32, ()> { unreachable!("cached") }),
+            Ok((10, CacheOutcome::Hit))
+        );
+        assert_eq!(layer.get_or_build(2, || Err::<u32, _>("boom")), Err("boom"));
+        let s = layer.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 2, 1));
+    }
 
     #[test]
     fn hits_misses_and_recency() {

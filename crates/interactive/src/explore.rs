@@ -34,7 +34,9 @@
 //! summaries and plots (property-tested), so cache hits are purely a cost
 //! story.
 
-use crate::cache::{LayerStats, LruCache};
+pub use crate::cache::CacheOutcome;
+
+use crate::cache::{Layer, LayerStats};
 use crate::plot::{DSeries, GuidancePlot};
 use crate::precompute::{PrecomputeConfig, Precomputed};
 use qagview_common::io::{RealIo, RetryPolicy, StoreIo};
@@ -47,7 +49,7 @@ use qagview_query::{
 use qagview_storage::{Catalog, Table, TableId};
 use qagview_viz::Transition;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Default `k` of a fresh session (the paper's Fig. 1 walkthrough).
 pub const DEFAULT_K: usize = 4;
@@ -56,26 +58,22 @@ pub const DEFAULT_L: usize = 8;
 /// Default `D` of a fresh session.
 pub const DEFAULT_D: usize = 2;
 
+/// Max cached answer relations (layer 2).
+const ANSWERS_CACHE_ENTRIES: usize = 64;
+/// Max cached `(k, D)` planes (layer 3).
+const PLANE_CACHE_ENTRIES: usize = 8;
+/// Max cached drill-down summarizers.
+const SUMMARIZER_CACHE_ENTRIES: usize = 16;
+
 /// Tuning knobs of an [`Explorer`] — cache bounds, plane shape, and the
 /// optional persistent plane store.
 #[derive(Debug, Clone)]
 pub struct ExplorerConfig {
     /// Max cached group phases (layer 1).
     pub group_cache_entries: usize,
-    /// Max cached answer relations (layer 2).
-    pub answers_cache_entries: usize,
-    /// Max cached `(k, D)` planes (layer 3).
-    pub plane_cache_entries: usize,
-    /// Max cached drill-down summarizers.
-    pub summarizer_cache_entries: usize,
     /// Planes always materialize `k` up to at least this value, so knob
     /// moves within the range are pure lookups.
     pub default_k_max: usize,
-    /// Hybrid pool factor `c` for plane construction.
-    pub pool_factor: usize,
-    /// Build the per-`D` planes on parallel threads (byte-identical to
-    /// serial; see the `parallel_and_serial_builds_agree` property).
-    pub parallel_planes: bool,
     /// Directory of the persistent plane store. When set, a plane-cache
     /// miss probes `<dir>/plane-<fp>-l<L>-k<kmax>-p<pool>.qag` before building,
     /// and a cold build writes its plane set back (atomically), so the
@@ -112,12 +110,7 @@ impl Default for ExplorerConfig {
     fn default() -> Self {
         ExplorerConfig {
             group_cache_entries: 32,
-            answers_cache_entries: 64,
-            plane_cache_entries: 8,
-            summarizer_cache_entries: 16,
             default_k_max: 20,
-            pool_factor: DEFAULT_POOL_FACTOR,
-            parallel_planes: true,
             store_dir: None,
             store_budget_bytes: None,
             retry: RetryPolicy::default(),
@@ -125,15 +118,6 @@ impl Default for ExplorerConfig {
             store_io: Arc::new(RealIo),
         }
     }
-}
-
-/// Whether a cache layer answered a lookup or had to compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// Served from the cache.
-    Hit,
-    /// Computed cold (and cached for next time).
-    Miss,
 }
 
 /// Cumulative counters of the persistent plane-store tier.
@@ -196,7 +180,17 @@ pub struct PoisonStats {
 impl PoisonStats {
     /// Total recoveries across every layer.
     pub fn total(&self) -> u64 {
-        self.group_phase + self.answers + self.planes + self.summarizers + self.store
+        self.by_layer().iter().map(|&(_, n)| n).sum()
+    }
+
+    fn by_layer(&self) -> [(CacheLayer, u64); 5] {
+        [
+            (CacheLayer::GroupPhase, self.group_phase),
+            (CacheLayer::Answers, self.answers),
+            (CacheLayer::Planes, self.planes),
+            (CacheLayer::Summarizers, self.summarizers),
+            (CacheLayer::Store, self.store),
+        ]
     }
 }
 
@@ -420,17 +414,6 @@ struct RelationOutcome {
     answers_out: CacheOutcome,
 }
 
-/// The group-phase layer: its cache, keyed `(TableId, group_fp)`, plus the
-/// reusable scan scratch table, which lives under the same lock because
-/// only group scans use it.
-struct GroupLayer {
-    cache: LruCache<(TableId, u64), Arc<GroupedResult>>,
-    scratch: GroupTable,
-    /// Cumulative morsel-parallel scan counters across every cache-miss
-    /// scan (zero while every table stays below the parallel threshold).
-    scan_stats: ParallelScanStats,
-}
-
 /// The owned, thread-shareable exploration engine.
 ///
 /// `Explorer` is `Send + Sync`: wrap it in an `Arc`, hand clones to any
@@ -463,88 +446,26 @@ struct GroupLayer {
 /// assert_eq!(response.summary.total, 2);
 /// ```
 ///
-/// Each cache layer sits behind its **own** mutex, and every lock is held
-/// only for a lookup or an insert — artifact construction (table scans,
-/// plane builds, drill summarizer builds) runs unlocked. A cold `(k, D)`
-/// plane build on one table therefore never serializes group-phase or
-/// answer-relation probes for other sessions, and no code path ever holds
-/// two layer locks at once (so the split cannot deadlock). Two sessions
-/// racing on the same missing key may both compute it; the artifacts are
-/// deterministic, so the duplicate work is wasted cost only, and the last
-/// insert wins.
+/// Each cache layer has its **own** mutex, and every lock
+/// is held only for a lookup or an insert — artifact construction (table
+/// scans, plane builds, drill summarizer builds) runs unlocked. A cold
+/// `(k, D)` plane build on one table therefore never serializes
+/// group-phase or answer-relation probes for other sessions, and no code
+/// path ever holds two layer locks at once (so the split cannot
+/// deadlock). Two sessions racing on the same missing key may both
+/// compute it; the artifacts are deterministic, so the duplicate work is
+/// wasted cost only, and the last insert wins.
 pub struct Explorer {
     catalog: Arc<Catalog>,
     cfg: ExplorerConfig,
-    groups: Mutex<GroupLayer>,
-    answers: Mutex<LruCache<(TableId, u64), Arc<AnswerEntry>>>,
-    planes: Mutex<LruCache<(u64, usize, usize), Arc<Precomputed<'static>>>>,
-    summarizers: Mutex<LruCache<(u64, usize), Arc<Summarizer<'static>>>>,
-    store_stats: Mutex<StoreLayerStats>,
-    poison: PoisonCounters,
-}
-
-/// Lock-free poison-recovery counters (atomics, so counting a recovery
-/// can never itself poison anything).
-#[derive(Debug, Default)]
-struct PoisonCounters {
-    group_phase: AtomicU64,
-    answers: AtomicU64,
-    planes: AtomicU64,
-    summarizers: AtomicU64,
-    store: AtomicU64,
-}
-
-impl PoisonCounters {
-    fn snapshot(&self) -> PoisonStats {
-        PoisonStats {
-            group_phase: self.group_phase.load(Ordering::Relaxed),
-            answers: self.answers.load(Ordering::Relaxed),
-            planes: self.planes.load(Ordering::Relaxed),
-            summarizers: self.summarizers.load(Ordering::Relaxed),
-            store: self.store.load(Ordering::Relaxed),
-        }
-    }
-
-    fn counter(&self, layer: CacheLayer) -> &AtomicU64 {
-        match layer {
-            CacheLayer::GroupPhase => &self.group_phase,
-            CacheLayer::Answers => &self.answers,
-            CacheLayer::Planes => &self.planes,
-            CacheLayer::Summarizers => &self.summarizers,
-            CacheLayer::Store => &self.store,
-        }
-    }
-}
-
-/// What a layer does to its contents when its mutex is recovered from
-/// poisoning: drop anything that could be mid-mutation, keep what is
-/// plain data. The caches rebuild cold; nothing served afterwards can
-/// observe a half-updated structure.
-trait PoisonReset {
-    fn reset_after_poison(&mut self);
-}
-
-impl<K: Eq + std::hash::Hash + Clone, V> PoisonReset for LruCache<K, V> {
-    fn reset_after_poison(&mut self) {
-        self.clear();
-    }
-}
-
-impl PoisonReset for GroupLayer {
-    fn reset_after_poison(&mut self) {
-        self.cache.clear();
-        self.scratch = GroupTable::new(0);
-        // `scan_stats` counters are plain `u64`s; keep the history, like
-        // the store-layer counters.
-    }
-}
-
-impl PoisonReset for StoreLayerStats {
-    fn reset_after_poison(&mut self) {
-        // Counters are plain `u64`s; the worst a panic mid-increment
-        // leaves behind is an off-by-one count, which is not worth
-        // zeroing the whole history over.
-    }
+    groups: Layer<(TableId, u64), Arc<GroupedResult>>,
+    answers: Layer<(TableId, u64), Arc<AnswerEntry>>,
+    planes: Layer<(u64, usize, usize), Arc<Precomputed<'static>>>,
+    summarizers: Layer<(u64, usize), Arc<Summarizer<'static>>>,
+    /// Morsel-parallel scans across every group-phase miss.
+    parallel_scans: AtomicU64,
+    store_counters: Mutex<StoreLayerStats>,
+    store_recoveries: AtomicU64,
 }
 
 impl std::fmt::Debug for Explorer {
@@ -590,19 +511,16 @@ impl Explorer {
             .unwrap_or(0) as u64;
         Explorer {
             catalog,
-            groups: Mutex::new(GroupLayer {
-                cache: LruCache::new(cfg.group_cache_entries),
-                scratch: GroupTable::new(0),
-                scan_stats: ParallelScanStats::default(),
-            }),
-            answers: Mutex::new(LruCache::new(cfg.answers_cache_entries)),
-            planes: Mutex::new(LruCache::new(cfg.plane_cache_entries)),
-            summarizers: Mutex::new(LruCache::new(cfg.summarizer_cache_entries)),
-            store_stats: Mutex::new(StoreLayerStats {
+            groups: Layer::new(cfg.group_cache_entries),
+            answers: Layer::new(ANSWERS_CACHE_ENTRIES),
+            planes: Layer::new(PLANE_CACHE_ENTRIES),
+            summarizers: Layer::new(SUMMARIZER_CACHE_ENTRIES),
+            parallel_scans: AtomicU64::new(0),
+            store_counters: Mutex::new(StoreLayerStats {
                 temp_cleanups,
                 ..Default::default()
             }),
-            poison: PoisonCounters::default(),
+            store_recoveries: AtomicU64::new(0),
             cfg,
         }
     }
@@ -617,46 +535,42 @@ impl Explorer {
         &self.cfg
     }
 
-    /// Lock a layer, *recovering* from poisoning instead of propagating
-    /// it: a panic in one session while it held a layer lock must not
-    /// take the layer away from every future session. Recovery clears
-    /// the layer's cached contents ([`PoisonReset`]) — the caches are
-    /// pure cost, so the worst case is cold rebuilds — and counts the
-    /// event in [`PoisonStats`].
-    fn lock<'a, T: PoisonReset>(
-        &self,
-        layer: &'a Mutex<T>,
-        which: CacheLayer,
-    ) -> std::sync::MutexGuard<'a, T> {
-        match layer.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                layer.clear_poison();
-                let mut guard = poisoned.into_inner();
-                guard.reset_after_poison();
-                self.poison.counter(which).fetch_add(1, Ordering::Relaxed);
-                guard
-            }
+    /// Lock the store-tier counters. A poisoned lock is recovered rather
+    /// than propagated, like the cache layers' — but the counters are
+    /// plain `u64`s, so the contents are kept (the worst a panic
+    /// mid-increment leaves behind is an off-by-one count) and only the
+    /// recovery is counted.
+    fn store_stats(&self) -> MutexGuard<'_, StoreLayerStats> {
+        self.store_counters.lock().unwrap_or_else(|poisoned| {
+            self.store_counters.clear_poison();
+            self.store_recoveries.fetch_add(1, Ordering::Relaxed);
+            poisoned.into_inner()
+        })
+    }
+
+    fn poison_stats(&self) -> PoisonStats {
+        PoisonStats {
+            group_phase: self.groups.recoveries(),
+            answers: self.answers.recoveries(),
+            planes: self.planes.recoveries(),
+            summarizers: self.summarizers.recoveries(),
+            store: self.store_recoveries.load(Ordering::Relaxed),
         }
     }
 
     /// Snapshot the cumulative cache counters of every layer. Each layer
     /// lock is taken (and released) in turn — never nested.
     pub fn stats(&self) -> ExplorerStats {
-        let (group_phase, scan) = {
-            let layer = self.lock(&self.groups, CacheLayer::GroupPhase);
-            (layer.cache.stats(), layer.scan_stats)
-        };
         ExplorerStats {
-            group_phase,
-            scan,
-            answers: self.lock(&self.answers, CacheLayer::Answers).stats(),
-            planes: self.lock(&self.planes, CacheLayer::Planes).stats(),
-            summarizers: self
-                .lock(&self.summarizers, CacheLayer::Summarizers)
-                .stats(),
-            store: *self.lock(&self.store_stats, CacheLayer::Store),
-            poison: self.poison.snapshot(),
+            group_phase: self.groups.stats(),
+            answers: self.answers.stats(),
+            planes: self.planes.stats(),
+            summarizers: self.summarizers.stats(),
+            store: *self.store_stats(),
+            scan: ParallelScanStats {
+                parallel_scans: self.parallel_scans.load(Ordering::Relaxed),
+            },
+            poison: self.poison_stats(),
         }
     }
 
@@ -668,7 +582,7 @@ impl Explorer {
                 fp,
                 l_eff,
                 k_max,
-                self.cfg.pool_factor,
+                DEFAULT_POOL_FACTOR,
             ))
         })
     }
@@ -697,7 +611,7 @@ impl Explorer {
         for attempt in 0..attempts {
             if attempt > 0 {
                 io.sleep(policy.backoff(attempt - 1));
-                self.lock(&self.store_stats, CacheLayer::Store).retries += 1;
+                self.store_stats().retries += 1;
             }
             match crate::store::StoreReader::open_io(io, path) {
                 Ok(r) => {
@@ -729,7 +643,7 @@ impl Explorer {
             || cfg.k_max != k_max
             || cfg.d_min != 0
             || cfg.d_max != base.arity()
-            || cfg.pool_factor != self.cfg.pool_factor
+            || cfg.pool_factor != DEFAULT_POOL_FACTOR
         {
             return None;
         }
@@ -752,7 +666,7 @@ impl Explorer {
     /// coverage bitset/list per pooled cluster).
     fn plane_bytes(&self, n: usize, m: usize, k_max: usize) -> u64 {
         let per_plane = k_max * 24 + k_max * 12;
-        let pool = self.cfg.pool_factor * k_max * (4 * m + n / 8 + 48);
+        let pool = DEFAULT_POOL_FACTOR * k_max * (4 * m + n / 8 + 48);
         ((m + 1) * per_plane + pool + 4096) as u64
     }
 
@@ -820,49 +734,24 @@ impl Explorer {
         let group_fp = bound.group.fingerprint();
 
         // Layer 1: the finished group phase — the only stage that ever
-        // touches the base table. The scratch group table is borrowed out
-        // of the engine while the scan runs unlocked; a concurrent miss
-        // simply scans with a fresh scratch.
-        let gkey = (table_id, group_fp);
-        // Each probe is bound to its own statement so the layer guard in
-        // the scrutinee drops before the miss arm re-locks to insert.
-        let probe = self
-            .lock(&self.groups, CacheLayer::GroupPhase)
-            .cache
-            .get_cloned(&gkey);
-        let (grouped, group_out) = match probe {
-            Some(g) => (g, CacheOutcome::Hit),
-            None => {
-                let mut scratch =
-                    std::mem::take(&mut self.lock(&self.groups, CacheLayer::GroupPhase).scratch);
-                let mut scan = ParallelScanStats::default();
-                let result = group_aggregate_auto(&bound.group, table, &mut scratch, &mut scan);
-                let mut layer = self.lock(&self.groups, CacheLayer::GroupPhase);
-                layer.scratch = scratch;
-                layer.scan_stats.merge(scan);
-                let g = Arc::new(result?);
-                layer.cache.insert(gkey, Arc::clone(&g));
-                (g, CacheOutcome::Miss)
-            }
-        };
+        // touches the base table.
+        let (grouped, group_out) = self.groups.get_or_build((table_id, group_fp), || {
+            let mut scan = ParallelScanStats::default();
+            let grouped =
+                group_aggregate_auto(&bound.group, table, &mut GroupTable::new(0), &mut scan);
+            self.parallel_scans
+                .fetch_add(scan.parallel_scans, Ordering::Relaxed);
+            grouped.map(Arc::new)
+        })?;
 
         // Layer 2: the dense-coded answer relation, derived O(groups) from
         // the group phase via the direct (no string round-trip) path.
         let akey = (table_id, combine(group_fp, bound.output.fingerprint()));
-        let probe = self
-            .lock(&self.answers, CacheLayer::Answers)
-            .get_cloned(&akey);
-        let (entry, answers_out) = match probe {
-            Some(e) => (e, CacheOutcome::Hit),
-            None => {
-                let answers = Arc::new(grouped.apply_answers(&bound.output)?);
-                let fp = answers.fingerprint();
-                let e = Arc::new(AnswerEntry { answers, fp });
-                self.lock(&self.answers, CacheLayer::Answers)
-                    .insert(akey, Arc::clone(&e));
-                (e, CacheOutcome::Miss)
-            }
-        };
+        let (entry, answers_out) = self.answers.get_or_build(akey, || -> Result<_> {
+            let answers = Arc::new(grouped.apply_answers(&bound.output)?);
+            let fp = answers.fingerprint();
+            Ok(Arc::new(AnswerEntry { answers, fp }))
+        })?;
         Ok(RelationOutcome {
             entry,
             group_out,
@@ -882,7 +771,7 @@ impl Explorer {
             return Err(QagError::param("coverage knob L must be at least 1"));
         }
         let mut degradations: Vec<Degradation> = Vec::new();
-        let poison_before = self.poison.snapshot();
+        let poison_before = self.poison_stats();
         let stmt = parse(&state.sql)?;
         let (table_id, table) = self.catalog.require_shared(&stmt.from)?;
         let mut bound = bind(&stmt, &table)?;
@@ -951,87 +840,46 @@ impl Explorer {
             });
             (None, CacheOutcome::Miss, None)
         } else {
-            let probe = self
-                .lock(&self.planes, CacheLayer::Planes)
-                .get_cloned(&pkey);
-            match probe {
-                Some(p) => (Some(p), CacheOutcome::Hit, None),
-                None => {
-                    let store_path = self.store_path(base_fp, l_eff, k_max);
-                    let loaded = store_path.as_ref().and_then(|path| {
-                        self.store_probe(path, &base, base_fp, l_eff, k_max, &mut degradations)
-                    });
-                    let (p, store_out, write_back) = match loaded {
-                        Some(p) => {
-                            self.lock(&self.store_stats, CacheLayer::Store).loads += 1;
-                            (Arc::new(p), Some(CacheOutcome::Hit), false)
-                        }
-                        None => {
-                            let built: Arc<Precomputed<'static>> = Arc::new(Precomputed::build(
-                                Arc::clone(&base),
-                                l_eff,
-                                PrecomputeConfig {
-                                    k_min: 1,
-                                    k_max,
-                                    d_min: 0,
-                                    d_max: m,
-                                    pool_factor: self.cfg.pool_factor,
-                                    parallel: self.cfg.parallel_planes,
-                                    ..Default::default()
-                                },
-                            )?);
-                            if store_path.is_some() {
-                                self.lock(&self.store_stats, CacheLayer::Store).probe_misses += 1;
-                                (built, Some(CacheOutcome::Miss), true)
-                            } else {
-                                (built, None, false)
-                            }
-                        }
-                    };
-                    // Publish to the memory cache *before* the disk
-                    // write-back: concurrent sessions racing the same key
-                    // stop duplicating the cold build as soon as the plane
-                    // exists, and the serialize + write cost never sits
-                    // between them and a hit.
-                    self.lock(&self.planes, CacheLayer::Planes)
-                        .insert(pkey, Arc::clone(&p));
-                    if write_back {
-                        let path = store_path.as_ref().expect("write_back implies a path");
-                        let io = self.cfg.store_io.as_ref();
-                        match crate::store::save_with_retry(io, &p, path, &self.cfg.retry) {
-                            Ok(attempts) => {
-                                let mut st = self.lock(&self.store_stats, CacheLayer::Store);
-                                st.writes += 1;
-                                st.retries += u64::from(attempts - 1);
-                                drop(st);
-                                if attempts > 1 {
-                                    degradations.push(Degradation::StoreRetried { attempts });
-                                }
-                            }
-                            Err((_, attempts)) => {
-                                let mut st = self.lock(&self.store_stats, CacheLayer::Store);
-                                st.write_errors += 1;
-                                st.retries += u64::from(attempts.saturating_sub(1));
-                                drop(st);
-                                degradations.push(Degradation::StoreWriteBackDropped { attempts });
-                            }
-                        }
-                        // Keep the directory under its byte budget now that
-                        // it grew. GC trouble is never fatal — the next
-                        // write-back retries it.
-                        if let (Some(gc_budget), Some(dir)) =
-                            (self.cfg.store_budget_bytes, self.cfg.store_dir.as_ref())
-                        {
-                            if let Ok(report) = crate::store::gc(io, dir, gc_budget) {
-                                let mut st = self.lock(&self.store_stats, CacheLayer::Store);
-                                st.gc_evictions += report.evicted as u64;
-                                st.gc_bytes_freed += report.bytes_freed;
-                            }
-                        }
-                    }
-                    (Some(p), CacheOutcome::Miss, store_out)
+            let mut store_out = None;
+            let mut write_back = None;
+            let (p, plane_out) = self.planes.get_or_build(pkey, || -> Result<_> {
+                let store_path = self.store_path(base_fp, l_eff, k_max);
+                let loaded = store_path.as_ref().and_then(|path| {
+                    self.store_probe(path, &base, base_fp, l_eff, k_max, &mut degradations)
+                });
+                if let Some(p) = loaded {
+                    self.store_stats().loads += 1;
+                    store_out = Some(CacheOutcome::Hit);
+                    return Ok(Arc::new(p));
                 }
+                let built = Precomputed::build(
+                    Arc::clone(&base),
+                    l_eff,
+                    PrecomputeConfig {
+                        k_min: 1,
+                        k_max,
+                        d_min: 0,
+                        d_max: m,
+                        pool_factor: DEFAULT_POOL_FACTOR,
+                        ..Default::default()
+                    },
+                )?;
+                if store_path.is_some() {
+                    self.store_stats().probe_misses += 1;
+                    store_out = Some(CacheOutcome::Miss);
+                }
+                write_back = store_path;
+                Ok(Arc::new(built))
+            })?;
+            // The layer published the plane to the memory cache *before*
+            // this disk write-back: concurrent sessions racing the same key
+            // stop duplicating the cold build as soon as the plane exists,
+            // and the serialize + write cost never sits between them and a
+            // hit.
+            if let Some(path) = write_back {
+                self.write_back(&p, &path, &mut degradations);
             }
+            (Some(p), plane_out, store_out)
         };
 
         // The guidance plot: the full plane serves the complete (k, D)
@@ -1067,20 +915,9 @@ impl Explorer {
                 let sub = Arc::new(drill_relation(&base, p)?);
                 let sub_fp = sub.fingerprint();
                 let l_sub = state.l.min(sub.len());
-                let skey = (sub_fp, l_sub);
-                let probe = self
-                    .lock(&self.summarizers, CacheLayer::Summarizers)
-                    .get_cloned(&skey);
-                let (summarizer, s_out) = match probe {
-                    Some(s) => (s, CacheOutcome::Hit),
-                    None => {
-                        let s: Arc<Summarizer<'static>> =
-                            Arc::new(Summarizer::new(Arc::clone(&sub), l_sub)?);
-                        self.lock(&self.summarizers, CacheLayer::Summarizers)
-                            .insert(skey, Arc::clone(&s));
-                        (s, CacheOutcome::Miss)
-                    }
-                };
+                let (summarizer, s_out) = self.summarizers.get_or_build((sub_fp, l_sub), || {
+                    Summarizer::new(Arc::clone(&sub), l_sub).map(Arc::new)
+                })?;
                 let solution = summarizer.hybrid(state.k, d_eff.min(sub.arity()))?;
                 (sub, sub_fp, l_sub, solution, Some(s_out))
             }
@@ -1097,30 +934,9 @@ impl Explorer {
         // Surface poison recoveries that happened under this command's
         // lock acquisitions (comparing cumulative counters keeps the fast
         // path allocation-free).
-        let poison_after = self.poison.snapshot();
-        for (layer, before, after) in [
-            (
-                CacheLayer::GroupPhase,
-                poison_before.group_phase,
-                poison_after.group_phase,
-            ),
-            (
-                CacheLayer::Answers,
-                poison_before.answers,
-                poison_after.answers,
-            ),
-            (
-                CacheLayer::Planes,
-                poison_before.planes,
-                poison_after.planes,
-            ),
-            (
-                CacheLayer::Summarizers,
-                poison_before.summarizers,
-                poison_after.summarizers,
-            ),
-            (CacheLayer::Store, poison_before.store, poison_after.store),
-        ] {
+        let poison_after = self.poison_stats().by_layer();
+        for ((layer, before), (_, after)) in poison_before.by_layer().into_iter().zip(poison_after)
+        {
             if after > before {
                 degradations.push(Degradation::PoisonRecovered { layer });
             }
@@ -1148,6 +964,46 @@ impl Explorer {
             },
             provenance,
         ))
+    }
+
+    /// Write a cold-built plane set back to the store, then keep the
+    /// directory under its byte budget. Neither step can fail the
+    /// command: a dropped write-back only costs the next process its warm
+    /// start, and GC trouble is retried by the next write-back.
+    fn write_back(
+        &self,
+        plane: &Precomputed<'_>,
+        path: &std::path::Path,
+        degradations: &mut Vec<Degradation>,
+    ) {
+        let io = self.cfg.store_io.as_ref();
+        match crate::store::save_with_retry(io, plane, path, &self.cfg.retry) {
+            Ok(attempts) => {
+                let mut st = self.store_stats();
+                st.writes += 1;
+                st.retries += u64::from(attempts - 1);
+                drop(st);
+                if attempts > 1 {
+                    degradations.push(Degradation::StoreRetried { attempts });
+                }
+            }
+            Err((_, attempts)) => {
+                let mut st = self.store_stats();
+                st.write_errors += 1;
+                st.retries += u64::from(attempts.saturating_sub(1));
+                drop(st);
+                degradations.push(Degradation::StoreWriteBackDropped { attempts });
+            }
+        }
+        if let (Some(gc_budget), Some(dir)) =
+            (self.cfg.store_budget_bytes, self.cfg.store_dir.as_ref())
+        {
+            if let Ok(report) = crate::store::gc(io, dir, gc_budget) {
+                let mut st = self.store_stats();
+                st.gc_evictions += report.evicted as u64;
+                st.gc_bytes_freed += report.bytes_freed;
+            }
+        }
     }
 }
 
@@ -1781,11 +1637,7 @@ mod tests {
 
         // Panic while holding the plane lock: the guard drops during the
         // unwind and poisons the mutex.
-        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = engine.planes.lock().unwrap();
-            panic!("simulated panic while holding the plane layer lock");
-        }));
-        assert!(poison.is_err());
+        engine.planes.poison();
 
         // The next command recovers: the layer is cleared (cold plane
         // rebuild), the event is counted and surfaced, and no panic

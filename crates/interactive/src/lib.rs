@@ -58,5 +58,5 @@ pub use explore::{
 };
 pub use interval_tree::IntervalTree;
 pub use plot::{DSeries, GuidancePlot};
-pub use precompute::{DescentEngine, PrecomputeConfig, Precomputed};
+pub use precompute::{PrecomputeConfig, Precomputed};
 pub use store::{GcReport, StoreReader};

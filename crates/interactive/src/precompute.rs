@@ -10,6 +10,7 @@
 
 use crate::interval_tree::IntervalTree;
 use crate::plot::{DSeries, GuidancePlot};
+use qagview_common::par::{available_workers, map_ordered};
 use qagview_common::{FixedBitSet, FxHashMap, QagError, Result};
 use qagview_core::{
     fixed_order_phase, frontier_round, run_phases_reeval, EvalMode, Evaluator, FrontierPhase,
@@ -19,21 +20,6 @@ use qagview_lattice::{
     AnswerSet, AnswersHandle, CandId, CandidateIndex, ClusterDirectory, Pattern, TupleId,
 };
 use std::sync::Arc;
-
-/// Which merge engine drives the per-`D` descents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DescentEngine {
-    /// The incremental merge-frontier engine
-    /// ([`qagview_core::MergeFrontier`]): pair LCAs resolved once, scoring
-    /// deduped by distinct LCA id, coverage-neutral rounds free.
-    #[default]
-    Frontier,
-    /// The pre-frontier path: rebuild the pair set and re-evaluate all
-    /// O(p²) merges every round. Kept as the differential oracle and the
-    /// baseline arm of the `plane_build` perf section; byte-identical
-    /// results.
-    PerRoundReEval,
-}
 
 /// Precomputation configuration.
 #[derive(Debug, Clone, Copy)]
@@ -52,8 +38,6 @@ pub struct PrecomputeConfig {
     pub eval: EvalMode,
     /// Build the per-`D` planes on parallel threads.
     pub parallel: bool,
-    /// Merge engine for the descents (frontier by default).
-    pub engine: DescentEngine,
 }
 
 impl Default for PrecomputeConfig {
@@ -66,7 +50,6 @@ impl Default for PrecomputeConfig {
             pool_factor: qagview_core::DEFAULT_POOL_FACTOR,
             eval: EvalMode::Delta,
             parallel: true,
-            engine: DescentEngine::Frontier,
         }
     }
 }
@@ -195,14 +178,42 @@ impl<'a> Precomputed<'a> {
         let answers = answers.into();
         let index = index.into();
         let planes = build_planes(&answers, &index, &cfg)?;
-        let l = index.l();
-        Ok(Precomputed {
+        Ok(Self::from_index(answers, index, cfg, planes))
+    }
+
+    /// Build with the pre-frontier descent engine: the pair set is rebuilt
+    /// and all O(p²) merges are re-evaluated every round, and every `D`
+    /// is descended independently on the calling thread (`cfg.parallel` is
+    /// ignored). Kept as the differential oracle of [`Precomputed::build`]
+    /// and as the baseline arm of the `plane_build` perf section; the
+    /// planes are byte-identical.
+    pub fn build_reeval(
+        answers: impl Into<AnswersHandle<'a>>,
+        index: impl Into<Arc<CandidateIndex>>,
+        cfg: PrecomputeConfig,
+    ) -> Result<Self> {
+        let answers = answers.into();
+        let index = index.into();
+        let w0 = fixed_order_prefix(&answers, &index, &cfg)?;
+        let planes = (cfg.d_min..=cfg.d_max)
+            .map(|d| build_plane_reeval(w0.clone(), d, &cfg))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(Self::from_index(answers, index, cfg, planes))
+    }
+
+    fn from_index(
+        answers: AnswersHandle<'a>,
+        index: Arc<CandidateIndex>,
+        cfg: PrecomputeConfig,
+        planes: Vec<DPlane>,
+    ) -> Self {
+        Precomputed {
             answers,
+            l: index.l(),
             source: ClusterSource::Index(index),
-            l,
             cfg,
             planes,
-        })
+        }
     }
 
     /// Reassemble a plane set from decoded store sections — the
@@ -407,13 +418,13 @@ impl<'a> Precomputed<'a> {
     }
 }
 
-/// Validate the configured ranges, run the shared Fixed-Order phase, and
-/// replay one Bottom-Up descent per `D`.
-fn build_planes(
-    answers: &AnswerSet,
-    index: &CandidateIndex,
+/// Validate the configured ranges and run the Fixed-Order phase every
+/// `D`-descent starts from: distance-agnostic (D = 0), enlarged pool.
+fn fixed_order_prefix<'s>(
+    answers: &'s AnswerSet,
+    index: &'s CandidateIndex,
     cfg: &PrecomputeConfig,
-) -> Result<Vec<DPlane>> {
+) -> Result<WorkingSet<'s>> {
     if cfg.k_min == 0 || cfg.k_min > cfg.k_max {
         return Err(QagError::param(format!(
             "invalid k range [{}, {}]",
@@ -428,38 +439,33 @@ fn build_planes(
             answers.arity()
         )));
     }
-    // Shared Fixed-Order phase: distance-agnostic (D = 0), enlarged pool.
     let params = Params::new(cfg.k_max, index.l(), 0);
     params.validate(answers)?;
     let pool = cfg.pool_factor.max(2) * cfg.k_max;
-    let w0 = fixed_order_phase(answers, index, &params, pool, Seeding::None, cfg.eval)?;
+    fixed_order_phase(answers, index, &params, pool, Seeding::None, cfg.eval)
+}
+
+/// Run the shared Fixed-Order phase, then replay one merge-frontier
+/// descent per `D` on the worker pool.
+fn build_planes(
+    answers: &AnswerSet,
+    index: &CandidateIndex,
+    cfg: &PrecomputeConfig,
+) -> Result<Vec<DPlane>> {
+    let w0 = fixed_order_prefix(answers, index, cfg)?;
 
     // Frontier prototype, shared by every `D`-descent: the pool's O(p²)
     // pair LCAs are resolved once, and one throwaway selection warms the
     // score cache and the Delta-Judgment cache at the shared coverage
     // state. Each descent then starts from a reseeded clone with every
     // initial score already current.
-    let proto = match cfg.engine {
-        DescentEngine::Frontier => {
-            let mut evaluator = Evaluator::new(cfg.eval);
-            let mut frontier: MergeFrontier<f64> = MergeFrontier::new(&w0, 0)?;
-            // Warm through the lazy Max-Avg path so every score it does
-            // compute carries proper bound state (the generic `select`
-            // would stamp neutral always-refresh caps); LCAs it prunes
-            // stay never-scored and keep their O(1) static bound.
-            let _ = frontier.select_max_avg(&w0, FrontierPhase::All, &mut evaluator)?;
-            Some((frontier, evaluator))
-        }
-        DescentEngine::PerRoundReEval => None,
-    };
-    let build = |d: usize, w: WorkingSet<'_>| -> Result<DPlane> {
-        match &proto {
-            Some((frontier, evaluator)) => {
-                build_plane_frontier(w, frontier.reseed(d), evaluator.clone(), d, cfg)
-            }
-            None => build_plane_reeval(w, d, cfg),
-        }
-    };
+    let mut evaluator = Evaluator::new(cfg.eval);
+    let mut frontier: MergeFrontier<f64> = MergeFrontier::new(&w0, 0)?;
+    // Warm through the lazy Max-Avg path so every score it does compute
+    // carries proper bound state (the generic `select` would stamp
+    // neutral always-refresh caps); LCAs it prunes stay never-scored and
+    // keep their O(1) static bound.
+    let _ = frontier.select_max_avg(&w0, FrontierPhase::All, &mut evaluator)?;
 
     // D = 0 and D = 1 planes are always identical: a pair violates D = 1
     // only at distance < 1, i.e. distance 0, which requires two *equal*
@@ -468,58 +474,22 @@ fn build_planes(
     // size phase replays D = 0's exactly; build one plane and clone it.
     // (The re-evaluation oracle keeps building both independently, so the
     // engine-differential tests verify this equivalence empirically.)
-    let skip_d1 = matches!(cfg.engine, DescentEngine::Frontier) && cfg.d_min == 0 && cfg.d_max >= 1;
+    let skip_d1 = cfg.d_min == 0 && cfg.d_max >= 1;
     let ds: Vec<usize> = (cfg.d_min..=cfg.d_max)
         .filter(|&d| !(skip_d1 && d == 1))
         .collect();
-    let mut planes: Vec<DPlane> = if cfg.parallel && ds.len() > 1 {
-        // Bounded worker pool: descents are claimed off an atomic queue by
-        // at most `available_parallelism` workers, not one thread per `D`
-        // — wide schemas can have more planes than cores. Each descent
-        // runs on its own reseeded frontier clone over the shared
-        // Arc-backed index; results are re-slotted by descent index, so
-        // the plane order (and every byte in it) is independent of the
-        // worker schedule.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |t| t.get())
-            .min(ds.len());
-        let next = AtomicUsize::new(0);
-        let results: Vec<(usize, Result<DPlane>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let (build, ds, next, w0) = (&build, &ds, &next, &w0);
-                    scope.spawn(move || {
-                        let mut out: Vec<(usize, Result<DPlane>)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= ds.len() {
-                                break;
-                            }
-                            out.push((i, build(ds[i], w0.clone())));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("plane thread panicked"))
-                .collect()
-        });
-        let mut slots: Vec<Option<DPlane>> = (0..ds.len()).map(|_| None).collect();
-        for (i, r) in results {
-            slots[i] = Some(r?);
-        }
-        slots
-            .into_iter()
-            .map(|p| p.expect("every descent index was claimed exactly once"))
-            .collect()
-    } else {
-        ds.iter()
-            .map(|&d| build(d, w0.clone()))
-            .collect::<Result<Vec<_>>>()?
-    };
+    // Each descent runs on its own reseeded frontier clone over the shared
+    // Arc-backed index, and the pool returns the planes in `D` order, so
+    // every byte is independent of the worker schedule.
+    let workers = if cfg.parallel { available_workers() } else { 1 };
+    let mut planes = map_ordered(
+        &ds,
+        workers,
+        || (),
+        |_, &d| build_plane_frontier(w0.clone(), frontier.reseed(d), evaluator.clone(), d, cfg),
+    )
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
     if skip_d1 {
         let pos = planes
             .iter()
@@ -787,15 +757,8 @@ mod tests {
             ..Default::default()
         };
         let frontier = Precomputed::build(&s, 8, base).unwrap();
-        let reeval = Precomputed::build(
-            &s,
-            8,
-            PrecomputeConfig {
-                engine: DescentEngine::PerRoundReEval,
-                ..base
-            },
-        )
-        .unwrap();
+        let index = CandidateIndex::build(&s, 8).unwrap();
+        let reeval = Precomputed::build_reeval(&s, index, base).unwrap();
         assert_eq!(frontier.stored_intervals(), reeval.stored_intervals());
         for d in 0..=3 {
             for k in 1..=8 {

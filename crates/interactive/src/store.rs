@@ -23,7 +23,7 @@
 //! [20..  )  payload:
 //!   header   answer-set content fingerprint u64, n u64, m u32, L u32,
 //!            PrecomputeConfig (k_min/k_max/d_min/d_max/pool_factor u32,
-//!            eval/engine/parallel u8, reserved u8)
+//!            eval u8, retired engine u8, parallel u8, reserved u8)
 //!   clusters count u32, then per referenced candidate id:
 //!            id u32 · pattern (m × u32) · coverage sum f64-bits ·
 //!            coverage section (ascending u32 id run, or raw u64 bitset
@@ -33,6 +33,11 @@
 //!            sum f64-bits) · interval count u32 · intervals
 //!            (k_lo u32, k_hi u32, cluster id u32), canonically sorted
 //! ```
+//!
+//! The engine byte is retired. The plane build has one descent engine, so
+//! writers store 0. Readers accept 0 and 1: a 1 named the per-round
+//! re-evaluation engine, whose planes are byte-identical. Any other value
+//! is a typed [`StoreErrorKind::Corrupt`].
 //!
 //! The **cluster section is shared across all `D` planes**: the Fixed-Order
 //! pool (and every merge LCA any descent produced) is written exactly once,
@@ -76,7 +81,6 @@
 
 use crate::interval_tree::IntervalTree;
 use crate::precompute::{DPlane, PrecomputeConfig, Precomputed, StateMeta};
-use crate::DescentEngine;
 use qagview_common::io::{RealIo, RetryPolicy, StoreIo};
 use qagview_common::wire::{checksum64, Reader, Writer};
 use qagview_common::{QagError, Result, StoreErrorKind};
@@ -119,24 +123,6 @@ fn eval_from(code: u8) -> Result<EvalMode> {
     }
 }
 
-fn engine_code(engine: DescentEngine) -> u8 {
-    match engine {
-        DescentEngine::Frontier => 0,
-        DescentEngine::PerRoundReEval => 1,
-    }
-}
-
-fn engine_from(code: u8) -> Result<DescentEngine> {
-    match code {
-        0 => Ok(DescentEngine::Frontier),
-        1 => Ok(DescentEngine::PerRoundReEval),
-        other => Err(QagError::store(
-            StoreErrorKind::Corrupt,
-            format!("unknown descent-engine code {other}"),
-        )),
-    }
-}
-
 /// Serialize a plane set to the format-1 byte image.
 ///
 /// # Errors
@@ -164,7 +150,7 @@ pub fn to_bytes(pre: &Precomputed<'_>) -> Result<Vec<u8>> {
     w.put_u32(cfg.d_max as u32);
     w.put_u32(cfg.pool_factor as u32);
     w.put_u8(eval_code(cfg.eval));
-    w.put_u8(engine_code(cfg.engine));
+    w.put_u8(0); // retired descent-engine byte
     w.put_u8(u8::from(cfg.parallel));
     w.put_u8(0); // reserved
 
@@ -463,7 +449,15 @@ impl StoreReader {
         let d_max = r.read_u32()? as usize;
         let pool_factor = r.read_u32()? as usize;
         let eval = eval_from(r.read_u8()?)?;
-        let engine = engine_from(r.read_u8()?)?;
+        // The retired descent-engine byte: writers store 0; a 1 named the
+        // per-round re-evaluation engine, whose planes are byte-identical.
+        let engine = r.read_u8()?;
+        if engine > 1 {
+            return Err(QagError::store(
+                StoreErrorKind::Corrupt,
+                format!("unknown descent-engine code {engine}"),
+            ));
+        }
         let parallel = r.read_u8()? != 0;
         let _reserved = r.read_u8()?;
         if m == 0 || m > 24 {
@@ -497,7 +491,6 @@ impl StoreReader {
                 pool_factor,
                 eval,
                 parallel,
-                engine,
             },
         })
     }
@@ -1006,6 +999,36 @@ mod tests {
         let sum = checksum64(&bytes[HEADER_BYTES..]);
         bytes[12..20].copy_from_slice(&sum.to_le_bytes());
         let err = StoreReader::from_bytes(bytes).unwrap_err();
+        assert_eq!(err.store_kind(), Some(StoreErrorKind::Corrupt), "{err}");
+    }
+
+    #[test]
+    fn retired_engine_byte_accepts_both_old_codes_and_rejects_others() {
+        let (s, pre) = built();
+        let bytes = to_bytes(&pre).unwrap();
+        // The engine byte follows the fingerprint, n, seven u32 fields and
+        // the eval tag.
+        let engine_at = HEADER_BYTES + 8 + 8 + 7 * 4 + 1;
+        assert_eq!(bytes[engine_at], 0);
+        let with_engine = |code: u8| {
+            let mut b = bytes.clone();
+            b[engine_at] = code;
+            let sum = checksum64(&b[HEADER_BYTES..]);
+            b[12..20].copy_from_slice(&sum.to_le_bytes());
+            StoreReader::from_bytes(b)
+        };
+        let answers = Arc::new(s);
+        let zero = with_engine(0)
+            .unwrap()
+            .into_precomputed(Arc::clone(&answers))
+            .unwrap();
+        let one = with_engine(1)
+            .unwrap()
+            .into_precomputed(Arc::clone(&answers))
+            .unwrap();
+        assert_equivalent(&zero, &one);
+        assert_equivalent(&pre, &one);
+        let err = with_engine(2).unwrap_err();
         assert_eq!(err.store_kind(), Some(StoreErrorKind::Corrupt), "{err}");
     }
 

@@ -117,7 +117,6 @@ fn engine_over(io: &Arc<FaultIo>, dir: &Path, catalog: Arc<Catalog>) -> Arc<Expl
         ExplorerConfig {
             store_dir: Some(dir.to_path_buf()),
             store_io: io.clone(),
-            parallel_planes: false,
             ..Default::default()
         },
     ))

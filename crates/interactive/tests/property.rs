@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use qagview_core::Params;
 use qagview_interactive::{PrecomputeConfig, Precomputed};
-use qagview_lattice::{AnswerSet, AnswerSetBuilder};
+use qagview_lattice::{AnswerSet, AnswerSetBuilder, CandidateIndex};
 
 fn arb_answers() -> impl Strategy<Value = AnswerSet> {
     (2usize..=4, 6usize..=16, any::<u64>()).prop_map(|(m, n, seed)| {
@@ -170,7 +170,6 @@ proptest! {
         k_max in 2usize..=6,
         d_max in 0usize..=3,
     ) {
-        use qagview_interactive::DescentEngine;
         let l = (answers.len() / 2).max(1);
         let d_max = d_max.min(answers.arity());
         let base = PrecomputeConfig {
@@ -182,8 +181,8 @@ proptest! {
             ..Default::default()
         };
         let frontier = Precomputed::build(&answers, l, base).unwrap();
-        let reeval = Precomputed::build(&answers, l,
-            PrecomputeConfig { engine: DescentEngine::PerRoundReEval, ..base }).unwrap();
+        let index = CandidateIndex::build(&answers, l).unwrap();
+        let reeval = Precomputed::build_reeval(&answers, index, base).unwrap();
         prop_assert_eq!(frontier.stored_intervals(), reeval.stored_intervals());
         for d in 0..=d_max {
             for k in 1..=k_max {

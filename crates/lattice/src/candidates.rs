@@ -16,6 +16,7 @@
 
 use crate::answers::{AnswerSet, TupleId};
 use crate::pattern::Pattern;
+use qagview_common::par::{available_workers, map_ordered};
 use qagview_common::{FixedBitSet, FxHashMap, QagError, Result};
 
 /// Dense identifier of a candidate cluster inside a [`CandidateIndex`].
@@ -83,7 +84,7 @@ impl CandidateIndex {
     /// * [`QagError::InvalidParameter`] if `l` is zero or exceeds `n`, or if
     ///   `m` is too large for eager enumeration.
     pub fn build(answers: &AnswerSet, l: usize) -> Result<Self> {
-        let threads = available_threads();
+        let threads = available_workers();
         if answers.len() >= PARALLEL_BUILD_MIN_TUPLES && threads > 1 {
             Self::build_parallel(answers, l, threads)
         } else {
@@ -115,9 +116,9 @@ impl CandidateIndex {
     }
 
     /// Build with the §6.3 optimization, sharding the tuple scan across
-    /// `threads` worker threads.
+    /// `threads` pool workers ([`qagview_common::par::map_ordered`]).
     ///
-    /// Each worker owns a contiguous tuple range and collects per-candidate
+    /// Each task owns a contiguous tuple range and collects per-candidate
     /// coverage shards; shards are concatenated in range order (so coverage
     /// lists come out ascending, exactly as in the sequential build) and
     /// sums are re-accumulated per candidate in ascending-tuple order.
@@ -132,31 +133,28 @@ impl CandidateIndex {
         let mut index = Self::generate_candidates(answers, l)?;
         let ncand = index.infos.len();
         let chunk = n.div_ceil(threads);
+        let chunks: Vec<std::ops::Range<usize>> = (0..n)
+            .step_by(chunk)
+            .map(|lo| lo..(lo + chunk).min(n))
+            .collect();
         let map = &index.map;
-        let shards: Vec<Vec<Vec<TupleId>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|ti| {
-                    let lo = ti * chunk;
-                    let hi = ((ti + 1) * chunk).min(n);
-                    scope.spawn(move || {
-                        let mut cov: Vec<Vec<TupleId>> = vec![Vec::new(); ncand];
-                        for t in lo..hi {
-                            let t = t as TupleId;
-                            Pattern::for_each_generalization(answers.tuple(t), |slots| {
-                                if let Some(&id) = map.get(slots) {
-                                    cov[id as usize].push(t);
-                                }
-                            });
+        let shards: Vec<Vec<Vec<TupleId>>> = map_ordered(
+            &chunks,
+            threads,
+            || (),
+            |_, range| {
+                let mut cov: Vec<Vec<TupleId>> = vec![Vec::new(); ncand];
+                for t in range.clone() {
+                    let t = t as TupleId;
+                    Pattern::for_each_generalization(answers.tuple(t), |slots| {
+                        if let Some(&id) = map.get(slots) {
+                            cov[id as usize].push(t);
                         }
-                        cov
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("candidate shard thread panicked"))
-                .collect()
-        });
+                    });
+                }
+                cov
+            },
+        );
         for (c, info) in index.infos.iter_mut().enumerate() {
             let total: usize = shards.iter().map(|s| s[c].len()).sum();
             info.cov.reserve_exact(total);
@@ -312,13 +310,6 @@ impl CandidateIndex {
             .enumerate()
             .map(|(i, info)| (i as CandId, info))
     }
-}
-
-/// Worker-thread count for the sharded build (number of available cores).
-fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1)
 }
 
 #[cfg(test)]

@@ -1,15 +1,15 @@
 //! Morsel-parallel group-phase execution.
 //!
 //! [`group_aggregate_parallel`] partitions the table scan into fixed-size
-//! *morsels* (contiguous row ranges) dispatched to `std::thread::scope`
-//! workers over an atomic work queue. Each worker owns one pooled set of
-//! scan scratch — a [`GroupTable`] plus the batch buffers of the shared
+//! *morsels* (contiguous row ranges) run on the workspace worker pool
+//! ([`qagview_common::par::map_ordered`]). Each worker owns one pooled set
+//! of scan scratch — a [`GroupTable`] plus the batch buffers of the shared
 //! batch driver — reused across every morsel it claims (no per-morsel
-//! allocation; see [`ParallelScanStats::scratch_reuses`]). A worker scans
-//! its morsel through the same batch driver as the sequential scan, but
-//! instead of accumulating into global state it buffers a compact
-//! `MorselOutput`: the morsel's local group-key arena plus, per selected
-//! row, the local group id and the gathered aggregate-input values.
+//! allocation). A worker scans its morsel through the same batch driver
+//! as the sequential scan, but instead of accumulating into global state
+//! it buffers a compact `MorselOutput`: the morsel's local group-key
+//! arena plus, per selected row, the local group id and the gathered
+//! aggregate-input values.
 //!
 //! # Determinism: ordered partition merge, ascending re-accumulation
 //!
@@ -45,10 +45,10 @@
 use crate::exec::{plan_agg_inputs, scan_batches, AggInputs, ScanScratch, BATCH_ROWS};
 use crate::group::{Accumulators, GroupTable, GroupedResult};
 use crate::plan::GroupSpec;
+use qagview_common::par::{available_workers, map_ordered};
 use qagview_common::Result;
 use qagview_storage::Table;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default rows per morsel: a handful of scan batches, so the per-morsel
 /// dispatch overhead amortizes while the work queue still load-balances.
@@ -72,7 +72,7 @@ pub struct ParallelConfig {
 impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig {
-            threads: std::thread::available_parallelism().map_or(1, |t| t.get()),
+            threads: available_workers(),
             morsel_rows: MORSEL_ROWS,
         }
     }
@@ -92,22 +92,12 @@ impl ParallelConfig {
     }
 }
 
-/// Counters from the morsel-parallel scans run so far — the observability
-/// hook for the worker scratch pooling. Counters are cumulative so a
-/// session can expose them across many queries.
+/// Counters from the morsel-parallel scans run so far. Counters are
+/// cumulative so a session can expose them across many queries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelScanStats {
     /// Scans that took the morsel-parallel path.
     pub parallel_scans: u64,
-    /// Morsels processed across all parallel scans.
-    pub morsels: u64,
-    /// Workers spawned across all parallel scans.
-    pub workers: u64,
-    /// Morsels served by a worker's *pooled* scratch (selection vector,
-    /// group table, key/gid buffers) rather than a fresh allocation —
-    /// every morsel after a worker's first. `morsels - workers` when all
-    /// workers claim at least one morsel.
-    pub scratch_reuses: u64,
 }
 
 impl ParallelScanStats {
@@ -115,9 +105,6 @@ impl ParallelScanStats {
     /// scan's counters into a cumulative total with this).
     pub fn merge(&mut self, other: ParallelScanStats) {
         self.parallel_scans += other.parallel_scans;
-        self.morsels += other.morsels;
-        self.workers += other.workers;
-        self.scratch_reuses += other.scratch_reuses;
     }
 }
 
@@ -213,70 +200,20 @@ pub fn group_aggregate_parallel_with(
     let width = spec.group_cols.len();
     let inputs = plan_agg_inputs(spec, table)?;
     let morsel_rows = cfg.morsel_rows.max(1);
-    let num_morsels = n.div_ceil(morsel_rows);
-    let workers = cfg.threads.clamp(1, num_morsels.max(1));
+    let morsels: Vec<Range<usize>> = (0..n)
+        .step_by(morsel_rows)
+        .map(|start| start..(start + morsel_rows).min(n))
+        .collect();
 
-    let mut run_stats = ParallelScanStats {
-        parallel_scans: 1,
-        morsels: num_morsels as u64,
-        workers: workers as u64,
-        scratch_reuses: 0,
-    };
-
-    // Claim morsels off an atomic queue; each worker collects its outputs
-    // locally. The morsel-id sort afterwards makes the merge independent
-    // of the scheduling order.
-    let next = AtomicUsize::new(0);
-    let worker_loop = |reuses: &mut u64| -> Result<Vec<(usize, MorselOutput)>> {
-        let mut scratch = WorkerScratch::new(width, inputs.input_cols.len());
-        let mut out = Vec::new();
-        loop {
-            let m = next.fetch_add(1, Ordering::Relaxed);
-            if m >= num_morsels {
-                break;
-            }
-            if !out.is_empty() {
-                *reuses += 1;
-            }
-            let start = m * morsel_rows;
-            let end = (start + morsel_rows).min(n);
-            out.push((
-                m,
-                scan_morsel(spec, table, &inputs, start..end, &mut scratch)?,
-            ));
-        }
-        Ok(out)
-    };
-
-    let mut outputs: Vec<(usize, MorselOutput)> = if workers > 1 {
-        let results: Vec<Result<_>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut reuses = 0u64;
-                        worker_loop(&mut reuses).map(|out| (out, reuses))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("morsel worker panicked"))
-                .collect()
-        });
-        let mut all = Vec::with_capacity(num_morsels);
-        for r in results {
-            let (out, reuses) = r?;
-            run_stats.scratch_reuses += reuses;
-            all.extend(out);
-        }
-        all
-    } else {
-        let mut reuses = 0u64;
-        let out = worker_loop(&mut reuses)?;
-        run_stats.scratch_reuses += reuses;
-        out
-    };
-    outputs.sort_unstable_by_key(|&(m, _)| m);
+    // Each pool worker scans the morsels it claims with its own pooled
+    // scratch; the outputs come back in morsel order, which is what makes
+    // the merge independent of the worker schedule.
+    let outputs = map_ordered(
+        &morsels,
+        cfg.threads,
+        || WorkerScratch::new(width, inputs.input_cols.len()),
+        |scratch, rows| scan_morsel(spec, table, &inputs, rows.clone(), scratch),
+    );
 
     // Ordered merge: walk morsels in ascending id, remap local group ids
     // through the global table, and re-accumulate every aggregate row by
@@ -284,7 +221,8 @@ pub fn group_aggregate_parallel_with(
     gt.clear(width);
     let mut acc = Accumulators::new(&spec.aggs, &inputs.agg_input);
     let mut gids: Vec<u32> = Vec::new();
-    for (_, out) in &outputs {
+    for out in outputs {
+        let out = out?;
         gt.merge_partition(
             &out.local_keys,
             out.num_local_groups,
@@ -294,7 +232,7 @@ pub fn group_aggregate_parallel_with(
         acc.add(&gids, gt.num_groups(), |k| &out.row_vals[k]);
     }
 
-    stats.merge(run_stats);
+    stats.parallel_scans += 1;
     GroupedResult::finish(table, spec, gt, &acc)
 }
 
@@ -473,20 +411,11 @@ mod tests {
         let a =
             group_aggregate_parallel_with(&bound.group, &table, &cfg, &mut gt, &mut stats).unwrap();
         assert_eq!(stats.parallel_scans, 1);
-        assert_eq!(stats.morsels, 40);
-        assert_eq!(stats.workers, 2);
-        // Every morsel after each worker's first reused pooled scratch.
-        // On a loaded (or single-core) host one worker may drain the whole
-        // queue before the other starts, so only bound the counter: at
-        // least `morsels - workers`, strictly below `morsels`.
-        assert!(stats.scratch_reuses >= stats.morsels - stats.workers);
-        assert!(stats.scratch_reuses < stats.morsels);
         // The merge table and stats are reusable across runs.
         let b =
             group_aggregate_parallel_with(&bound.group, &table, &cfg, &mut gt, &mut stats).unwrap();
         assert_eq!(a.result_fingerprint(), b.result_fingerprint());
         assert_eq!(stats.parallel_scans, 2);
-        assert_eq!(stats.morsels, 80);
     }
 
     #[test]
