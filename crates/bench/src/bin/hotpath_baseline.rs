@@ -480,6 +480,8 @@ fn bench_store_warm_start(all_ok: &mut bool) -> String {
 /// trajectory gate therefore always enforces the *sequential* per-row
 /// throughput and treats `par_mrows_per_s` as a core-scaling metric,
 /// skipped whenever the committed and fresh `threads` counts differ.
+/// Each point records `par_over_seq = seq_ms / par_ms`; with two or more
+/// threads the run fails if the 5M point's is below 1.0.
 fn bench_n_scaling(threads: usize, all_ok: &mut bool) -> String {
     let sql = "SELECT hdec, agegrp, gender, occupation, AVG(rating) AS val FROM ratingtable \
                GROUP BY hdec, agegrp, gender, occupation \
@@ -522,11 +524,18 @@ fn bench_n_scaling(threads: usize, all_ok: &mut bool) -> String {
         });
         let seq_mrows = rows as f64 / seq_ms / 1e3;
         let par_mrows = rows as f64 / par_ms / 1e3;
+        let par_over_seq = seq_ms / par_ms;
         eprintln!(
             "n-scaling n={n}: gen {gen_ms:.0} ms, {rows} rows, {groups} groups; \
              seq {seq_ms:.2} ms ({seq_mrows:.1} Mrows/s), \
-             par×{partitions} {par_ms:.2} ms ({par_mrows:.1} Mrows/s)"
+             par×{partitions} {par_ms:.2} ms ({par_mrows:.1} Mrows/s, {par_over_seq:.2}x seq)"
         );
+        // With two or more cores the parallel scan must beat the
+        // sequential one at the largest N, or it should not be dispatched.
+        if threads >= 2 && n == 5_000_000 && par_over_seq < 1.0 {
+            *all_ok = false;
+            eprintln!("  WARNING: parallel group phase slower than sequential at n={n}");
+        }
         // Coarse absolute floor; the trajectory gate owns the tight
         // relative bound against the committed baseline.
         if seq_mrows < 1.0 {
@@ -534,12 +543,12 @@ fn bench_n_scaling(threads: usize, all_ok: &mut bool) -> String {
             eprintln!("  WARNING: sequential group phase below 1 Mrows/s at n={n}");
         }
         points.push(format!(
-            r#"      {{ "n": {n}, "rows": {rows}, "groups": {groups}, "gen_ms": {gen_ms:.1}, "seq_ms": {seq_ms:.3}, "par_ms": {par_ms:.3}, "seq_mrows_per_s": {seq_mrows:.2}, "par_mrows_per_s": {par_mrows:.2} }}"#
+            r#"      {{ "n": {n}, "rows": {rows}, "groups": {groups}, "gen_ms": {gen_ms:.1}, "seq_ms": {seq_ms:.3}, "par_ms": {par_ms:.3}, "seq_mrows_per_s": {seq_mrows:.2}, "par_mrows_per_s": {par_mrows:.2}, "par_over_seq": {par_over_seq:.2} }}"#
         ));
     }
 
     format!(
-        "  \"n_scaling\": {{\n    \"what\": \"sequential vs morsel-parallel group phase of the paper query as N grows 100x; tables stream from the seeded generator and both engines are asserted fingerprint-identical before timing; par_mrows_per_s is core-scaling and only comparable between runs with equal threads\",\n    \"sql\": \"SELECT hdec, agegrp, gender, occupation, AVG(rating) AS val FROM ratingtable GROUP BY hdec, agegrp, gender, occupation HAVING count(*) > 10 ORDER BY val DESC LIMIT 100\",\n    \"partitions\": {partitions},\n    \"threads\": {threads},\n    \"points\": [\n{}\n    ]\n  }}",
+        "  \"n_scaling\": {{\n    \"what\": \"sequential vs morsel-parallel group phase of the paper query as N grows 100x; tables stream from the seeded generator and both engines are asserted fingerprint-identical before timing; par_mrows_per_s is core-scaling and only comparable between runs with equal threads; par_over_seq = seq_ms / par_ms\",\n    \"sql\": \"SELECT hdec, agegrp, gender, occupation, AVG(rating) AS val FROM ratingtable GROUP BY hdec, agegrp, gender, occupation HAVING count(*) > 10 ORDER BY val DESC LIMIT 100\",\n    \"partitions\": {partitions},\n    \"threads\": {threads},\n    \"points\": [\n{}\n    ]\n  }}",
         points.join(",\n")
     )
 }

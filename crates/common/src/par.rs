@@ -2,12 +2,13 @@
 //!
 //! Every parallel stage of the engine — the morsel-parallel group scan,
 //! the sharded candidate-index build, and the per-`D` plane descents —
-//! is an ordered map over a slice of independent tasks. [`map_ordered`]
-//! runs that map on scoped threads that claim tasks off one atomic
-//! counter, so a slow task never idles the other workers, and returns
-//! the results in task order, so callers merge them exactly as a
-//! sequential loop would. [`available_workers`] is the one place the
-//! core count is read.
+//! runs over a slice of independent tasks on scoped threads that claim
+//! tasks off one atomic counter, so a slow task never idles the other
+//! workers. [`fold_workers`] folds the tasks into per-worker state and
+//! returns each worker's state; [`map_ordered`], built on it, returns one
+//! result per task in task order, so callers merge them exactly as a
+//! sequential loop would. [`available_workers`] is the one place the core
+//! count is read.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -34,7 +35,45 @@ pub fn map_ordered<T, S, R>(
 ) -> Vec<R>
 where
     T: Sync,
+    S: Send,
     R: Send,
+{
+    let states = fold_workers(
+        tasks,
+        workers,
+        || (init(), Vec::new()),
+        |(state, out), i, task| out.push((i, f(state, task))),
+    );
+    let mut slots: Vec<Option<R>> = (0..tasks.len()).map(|_| None).collect();
+    for (_, results) in states {
+        for (i, r) in results {
+            slots[i] = Some(r);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every task is claimed exactly once"))
+        .collect()
+}
+
+/// Fold every task into per-worker state on up to `workers` threads and
+/// return each worker's final state.
+///
+/// `f(state, i, &tasks[i])` runs once per task, on the worker that claimed
+/// it. Each worker claims task indices in ascending order, so a worker
+/// meets its tasks in task order. Workers that claimed no task return no
+/// state, and with one worker (or at most one task) everything runs on the
+/// calling thread. A panicking task is re-raised in the caller with its
+/// original payload once every worker has stopped.
+pub fn fold_workers<T, S>(
+    tasks: &[T],
+    workers: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, usize, &T) + Sync,
+) -> Vec<S>
+where
+    T: Sync,
+    S: Send,
 {
     let workers = workers.clamp(1, tasks.len().max(1));
     if workers == 1 {
@@ -42,38 +81,33 @@ where
             return Vec::new();
         }
         let mut state = init();
-        return tasks.iter().map(|t| f(&mut state, t)).collect();
+        for (i, task) in tasks.iter().enumerate() {
+            f(&mut state, i, task);
+        }
+        return vec![state];
     }
     let next = AtomicUsize::new(0);
     let worker = || {
-        let mut state = init();
-        let mut out = Vec::new();
+        let mut state: Option<S> = None;
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(task) = tasks.get(i) else { break };
-            out.push((i, f(&mut state, task)));
+            f(state.get_or_insert_with(&init), i, task);
         }
-        out
+        state
     };
     let joined: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
         handles.into_iter().map(|h| h.join()).collect()
     });
-    let mut slots: Vec<Option<R>> = (0..tasks.len()).map(|_| None).collect();
-    for results in joined {
-        match results {
-            Ok(results) => {
-                for (i, r) in results {
-                    slots[i] = Some(r);
-                }
-            }
+    let mut states = Vec::with_capacity(workers);
+    for state in joined {
+        match state {
+            Ok(state) => states.extend(state),
             Err(payload) => std::panic::resume_unwind(payload),
         }
     }
-    slots
-        .into_iter()
-        .map(|r| r.expect("every task is claimed exactly once"))
-        .collect()
+    states
 }
 
 #[cfg(test)]
@@ -118,6 +152,27 @@ mod tests {
         );
         assert!(none.is_empty());
         assert_eq!(inits.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn fold_workers_sees_every_task_once_in_ascending_order_per_worker() {
+        let tasks: Vec<usize> = (0..200).collect();
+        for workers in [1usize, 2, 3, 16] {
+            let states = fold_workers(&tasks, workers, Vec::new, |seen, i, &t| {
+                assert_eq!(i, t);
+                seen.push(t);
+            });
+            assert!((1..=workers).contains(&states.len()), "workers={workers}");
+            let mut all: Vec<usize> = Vec::new();
+            for seen in &states {
+                assert!(seen.windows(2).all(|w| w[0] < w[1]), "workers={workers}");
+                all.extend(seen);
+            }
+            all.sort_unstable();
+            assert_eq!(all, tasks, "workers={workers}");
+        }
+        let none = fold_workers(&[] as &[usize], 4, || 0usize, |_, _, _| {});
+        assert!(none.is_empty());
     }
 
     #[test]

@@ -13,14 +13,14 @@
 //! A restored session's first response differs from the resident one in
 //! provenance only, never in the view.
 //!
-//! # File layout (format version 3)
+//! # File layout (format version 4)
 //!
 //! Same envelope discipline as the `.qag` plane store: little-endian
 //! integers, floats as raw bit patterns.
 //!
 //! ```text
 //! [ 0.. 8)  magic            b"QAGSESSN"
-//! [ 8..12)  format version   u32 (currently 3)
+//! [ 8..12)  format version   u32 (currently 4)
 //! [12..20)  payload checksum u64 — wire::checksum64 of every later byte
 //! [20..  )  payload:
 //!   state   flag u8; when present: sql str · k/l/d u64 ·
@@ -34,9 +34,13 @@
 //!   retained_bytes u64
 //! ```
 //!
-//! Versions 1 and 2 (version 2 carried the fidelity bytes of the removed
-//! sampled mode) are rejected as [`StoreErrorKind::UnsupportedVersion`] —
-//! a clean "session unknown", not corruption.
+//! Versions 1–3 are rejected as [`StoreErrorKind::UnsupportedVersion`] —
+//! a clean "session unknown", not corruption. Version 2 carried the
+//! fidelity bytes of the removed sampled mode. Version 4 has version 3's
+//! layout; it marks checkpoints written since `SUM`/`AVG` became the
+//! correctly rounded exact sum, because a version-3 checkpoint's last view
+//! (relation fingerprint, solution sums) may hold the bits of the old
+//! row-order float sums.
 //!
 //! # Failure model
 //!
@@ -59,7 +63,7 @@ use std::sync::Arc;
 /// Magic bytes identifying a session-checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"QAGSESSN";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 3;
+pub const CHECKPOINT_VERSION: u32 = 4;
 /// Bytes before the payload: magic (8) + version (4) + checksum (8).
 const HEADER_BYTES: usize = 20;
 

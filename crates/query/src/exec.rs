@@ -12,15 +12,23 @@
 //!   are derived in `O(groups)` — and which sessions cache so a moved
 //!   threshold never rescans the table.
 //! * [`execute_rows`] — the row-at-a-time reference implementation
-//!   (per-row [`Value`] materialization, per-row key vectors). It is kept
-//!   as the differential-testing oracle and the benchmark baseline.
+//!   (per-row [`Value`] materialization, per-row key vectors). It collects
+//!   each group's input values and finishes every aggregate from them at
+//!   once — `SUM` through its own `msum` (`reference_sum`), independent
+//!   of the vectorized engine's exact accumulators. It is kept as the
+//!   differential-testing oracle and the benchmark baseline.
+//!
+//! Both engines share one set of aggregate semantics: `SUM`/`AVG` are the
+//! correctly rounded exact sum (see [`crate::parallel`] and the README's
+//! aggregate semantics), `MIN`/`MAX` the extremes of the non-NaN inputs
+//! under IEEE `totalOrder`.
 
 use crate::ast::{AggFunc, CmpOp, OrderDir};
 use crate::group::{cmp_holds, encode_i64, fold_hash, Accumulators, GroupTable, GroupedResult};
 use crate::plan::{BoundPredicate, BoundQuery, GroupSpec};
 use qagview_common::{FxHashMap, QagError, Result, Value};
 use qagview_storage::selection::{gather_f64, gather_i64_as_f64, SelOp, SelectionVector};
-use qagview_storage::{Column, Table};
+use qagview_storage::{Column, SumLane, Table};
 use std::ops::Range;
 
 /// Rows per scan batch of the vectorized pipeline. Sized so the per-batch
@@ -188,6 +196,8 @@ pub(crate) fn encode_keys(
 pub(crate) struct AggInputs {
     pub(crate) input_cols: Vec<usize>,
     pub(crate) agg_input: Vec<Option<usize>>,
+    /// The sum lane of each distinct input column.
+    pub(crate) lanes: Vec<SumLane>,
 }
 
 /// Plan the aggregate input gathers, rejecting non-numeric input columns
@@ -210,18 +220,21 @@ pub(crate) fn plan_agg_inputs(spec: &GroupSpec, table: &Table) -> Result<AggInpu
             })
         })
         .collect();
-    for &c in &input_cols {
-        let col = table.column(c);
-        if col.as_f64().is_none() && col.as_i64().is_none() {
-            return Err(QagError::Execution(format!(
-                "aggregate input column is not numeric ({})",
-                col.ty().name()
-            )));
-        }
-    }
+    let lanes = input_cols
+        .iter()
+        .map(|&c| {
+            table.sum_lane(c).ok_or_else(|| {
+                QagError::Execution(format!(
+                    "aggregate input column is not numeric ({})",
+                    table.column(c).ty().name()
+                ))
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
     Ok(AggInputs {
         input_cols,
         agg_input,
+        lanes,
     })
 }
 
@@ -260,11 +273,20 @@ pub(crate) struct ScanBatch<'a> {
     table: &'a Table,
     input_cols: &'a [usize],
     gathered: &'a [Vec<f64>],
+    sel: &'a SelectionVector,
     /// `Some(first_row)` when every row of a range batch survived.
     dense_start: Option<usize>,
 }
 
 impl<'a> ScanBatch<'a> {
+    /// The table row of the batch's `i`-th selected row.
+    pub(crate) fn row(&self, i: usize) -> usize {
+        match self.dense_start {
+            Some(start) => start + i,
+            None => self.sel.rows()[i] as usize,
+        }
+    }
+
     /// The selected rows' values of distinct aggregate input `k`, in row
     /// order. A dense float batch is read straight off the column storage;
     /// every other batch was gathered into scratch once.
@@ -286,8 +308,8 @@ impl<'a> ScanBatch<'a> {
 /// each batch's selection through the `WHERE` predicates, encodes the
 /// survivors' group keys, assigns their group ids in `gt`, gathers each
 /// distinct aggregate input column once, and passes the batch to
-/// `on_batch`. Batches are visited in ascending row order, so callers that
-/// fold values in `on_batch` accumulate in row order.
+/// `on_batch`. Batches are visited in ascending row order, so `gt` numbers
+/// groups by first encounter.
 pub(crate) fn scan_batches(
     spec: &GroupSpec,
     table: &Table,
@@ -350,6 +372,7 @@ pub(crate) fn scan_batches(
             table,
             input_cols: &inputs.input_cols,
             gathered,
+            sel,
             dense_start,
         });
     }
@@ -374,7 +397,7 @@ pub fn group_aggregate_with(
     gt.clear(spec.group_cols.len());
     let inputs = plan_agg_inputs(spec, table)?;
     let mut scratch = ScanScratch::new(spec.group_cols.len(), inputs.input_cols.len());
-    let mut acc = Accumulators::new(&spec.aggs, &inputs.agg_input);
+    let mut acc = Accumulators::new(&spec.aggs, &inputs.agg_input, &inputs.lanes);
     scan_batches(
         spec,
         table,
@@ -416,47 +439,128 @@ fn key_part(v: Value) -> Result<KeyPart> {
     }
 }
 
-/// Per-group running state for one aggregate.
-#[derive(Debug, Clone, Copy)]
-struct AggState {
+/// Per-group inputs of one aggregate, kept whole: the reference engine
+/// finishes every function from all of a group's values at once, sharing
+/// no accumulator code with the vectorized engine.
+#[derive(Debug, Clone, Default)]
+struct RefAgg {
     count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
+    values: Vec<f64>,
 }
 
-impl AggState {
-    fn new() -> Self {
-        AggState {
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
+impl RefAgg {
     fn update(&mut self, x: Option<f64>) {
-        // `None` means COUNT(*) — count the row without a value.
+        // `None` means COUNT — count the row without a value.
         self.count += 1;
         if let Some(x) = x {
-            self.sum += x;
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
+            self.values.push(x);
         }
     }
 
-    fn finish(&self, func: AggFunc) -> f64 {
-        match func {
+    fn finish(&self, func: AggFunc) -> Result<f64> {
+        // MIN/MAX ignore NaNs and order the rest by IEEE totalOrder
+        // (-0.0 < +0.0); a group without a non-NaN input has NaN extremes.
+        let non_nan = || self.values.iter().copied().filter(|x| !x.is_nan());
+        Ok(match func {
             AggFunc::Count => self.count as f64,
-            AggFunc::Sum => self.sum,
+            AggFunc::Sum => reference_sum(&self.values)?,
             AggFunc::Avg => {
                 debug_assert!(self.count > 0, "groups are never empty");
-                self.sum / self.count as f64
+                reference_sum(&self.values)? / self.count as f64
             }
-            AggFunc::Min => self.min,
-            AggFunc::Max => self.max,
+            AggFunc::Min => non_nan().min_by(f64::total_cmp).unwrap_or(f64::NAN),
+            AggFunc::Max => non_nan().max_by(f64::total_cmp).unwrap_or(f64::NAN),
+        })
+    }
+}
+
+/// The reference `SUM`: the exact sum of `values` rounded once to the
+/// nearest float (ties to even; an exact zero is `+0.0`), NaN if any input
+/// is NaN or both infinities occur, else `±∞` if one does.
+///
+/// Finite values go through Shewchuk's `msum` (the algorithm of Python's
+/// `math.fsum`): a list of non-overlapping partials that represents the
+/// running sum exactly, then a top-down fold with the half-way correction
+/// for ties. Partials stay finite while every prefix sum does, so the
+/// values are visited in an order that keeps prefix sums between the
+/// extremes of the inputs and the total: the next value has the sign
+/// opposite the running sum's whenever one is left. A sum that still
+/// overflows an intermediate partial is reported as an error rather than
+/// guessed.
+pub(crate) fn reference_sum(values: &[f64]) -> Result<f64> {
+    if values.iter().any(|x| x.is_nan()) {
+        return Ok(f64::NAN);
+    }
+    let pos_inf = values.contains(&f64::INFINITY);
+    let neg_inf = values.contains(&f64::NEG_INFINITY);
+    match (pos_inf, neg_inf) {
+        (true, true) => return Ok(f64::NAN),
+        (true, false) => return Ok(f64::INFINITY),
+        (false, true) => return Ok(f64::NEG_INFINITY),
+        (false, false) => {}
+    }
+    let mut pos: Vec<f64> = values.iter().copied().filter(|&x| x > 0.0).collect();
+    let mut neg: Vec<f64> = values.iter().copied().filter(|&x| x < 0.0).collect();
+    let mut partials: Vec<f64> = Vec::new();
+    let mut running = 0.0f64;
+    while let Some(x) = if running >= 0.0 {
+        neg.pop().or_else(|| pos.pop())
+    } else {
+        pos.pop().or_else(|| neg.pop())
+    } {
+        let mut x = x;
+        let mut i = 0;
+        for j in 0..partials.len() {
+            let mut y = partials[j];
+            if x.abs() < y.abs() {
+                std::mem::swap(&mut x, &mut y);
+            }
+            let hi = x + y;
+            let lo = y - (hi - x);
+            if lo != 0.0 {
+                partials[i] = lo;
+                i += 1;
+            }
+            x = hi;
+        }
+        if !x.is_finite() {
+            return Err(QagError::Execution(
+                "reference sum overflowed an intermediate partial".to_string(),
+            ));
+        }
+        partials.truncate(i);
+        partials.push(x);
+        running = x;
+    }
+    // Fold the partials from the top until the fold stops being exact.
+    let mut n = partials.len();
+    let Some(&top) = partials.last() else {
+        return Ok(0.0);
+    };
+    let mut hi = top;
+    let mut lo = 0.0;
+    n -= 1;
+    while n > 0 {
+        let x = hi;
+        let y = partials[n - 1];
+        n -= 1;
+        hi = x + y;
+        lo = y - (hi - x);
+        if lo != 0.0 {
+            break;
         }
     }
+    // Half-way correction: `hi + lo` was a tie rounded to even, but the
+    // partials below `lo` break the tie in `lo`'s direction.
+    if n > 0 && ((lo < 0.0 && partials[n - 1] < 0.0) || (lo > 0.0 && partials[n - 1] > 0.0)) {
+        let y = lo * 2.0;
+        let x = hi + y;
+        if y == x - hi {
+            hi = x;
+        }
+    }
+    // An exact zero sum is +0.0 whatever the zeros' signs.
+    Ok(if hi == 0.0 { 0.0 } else { hi })
 }
 
 fn row_passes(table: &Table, row: usize, preds: &[BoundPredicate]) -> bool {
@@ -488,7 +592,7 @@ pub fn execute_rows(query: &BoundQuery, table: &Table) -> Result<QueryOutput> {
     // separately for deterministic output when no ORDER BY is given.
     let mut groups: FxHashMap<Vec<KeyPart>, usize> = FxHashMap::default();
     let mut keys: Vec<Vec<KeyPart>> = Vec::new();
-    let mut states: Vec<Vec<AggState>> = Vec::new();
+    let mut states: Vec<Vec<RefAgg>> = Vec::new();
     let mut key_scratch: Vec<KeyPart> = Vec::with_capacity(spec.group_cols.len());
 
     for row in 0..table.num_rows() {
@@ -505,7 +609,7 @@ pub fn execute_rows(query: &BoundQuery, table: &Table) -> Result<QueryOutput> {
                 let g = keys.len();
                 groups.insert(key_scratch.clone(), g);
                 keys.push(key_scratch.clone());
-                states.push(vec![AggState::new(); spec.aggs.len()]);
+                states.push(vec![RefAgg::default(); spec.aggs.len()]);
                 g
             }
         };
@@ -526,7 +630,7 @@ pub fn execute_rows(query: &BoundQuery, table: &Table) -> Result<QueryOutput> {
     'group: for (gid, key) in keys.iter().enumerate() {
         for h in &out.having {
             let agg = &spec.aggs[h.agg_idx];
-            let v = states[gid][h.agg_idx].finish(agg.func);
+            let v = states[gid][h.agg_idx].finish(agg.func)?;
             let ord = v.partial_cmp(&h.value).ok_or_else(|| {
                 QagError::Execution("NaN aggregate in HAVING comparison".to_string())
             })?;
@@ -534,7 +638,7 @@ pub fn execute_rows(query: &BoundQuery, table: &Table) -> Result<QueryOutput> {
                 continue 'group;
             }
         }
-        let val = states[gid][0].finish(spec.aggs[0].func);
+        let val = states[gid][0].finish(spec.aggs[0].func)?;
         let attrs = render_key(table, spec, key);
         rows.push((key.clone(), QueryRow { attrs, val }));
     }
@@ -948,6 +1052,29 @@ mod tests {
                 assert_eq!(from_cache, cold, "{sql}");
             }
         }
+    }
+
+    #[test]
+    fn reference_sum_rounds_the_exact_sum_once() {
+        let sum = |v: &[f64]| reference_sum(v).unwrap();
+        assert_eq!(sum(&[0.1, 0.2, 0.3]), 0.6);
+        assert_eq!(sum(&[1e300, 1.0, -1e300]), 1.0);
+        assert_eq!(sum(&[1e100, 1.0, -1e100, 1e-100]), 1.0);
+        // Half-way correction: 1 + 2^-53 ties to even (1.0) unless a
+        // lower partial breaks the tie upward.
+        let half = f64::EPSILON / 2.0;
+        assert_eq!(sum(&[1.0, half]), 1.0);
+        assert_eq!(sum(&[1.0, half, f64::from_bits(1)]), 1.0 + f64::EPSILON);
+        assert_eq!(sum(&[1.0, half, -f64::from_bits(1)]), 1.0);
+        // Prefix sums stay in range by alternating signs.
+        assert_eq!(sum(&[f64::MAX, f64::MAX, -f64::MAX]), f64::MAX);
+        assert_eq!(sum(&[-0.0, -0.0]).to_bits(), 0, "an exact zero is +0.0");
+        assert_eq!(sum(&[]).to_bits(), 0);
+        assert!(sum(&[1.0, f64::NAN]).is_nan());
+        assert!(sum(&[f64::INFINITY, f64::NEG_INFINITY]).is_nan());
+        assert_eq!(sum(&[f64::NEG_INFINITY, 1.0]), f64::NEG_INFINITY);
+        // A sum past the largest float is not guessed.
+        assert!(reference_sum(&[f64::MAX, f64::MAX]).is_err());
     }
 
     #[test]

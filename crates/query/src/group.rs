@@ -15,7 +15,8 @@ use crate::exec::{QueryOutput, QueryRow};
 use crate::plan::{BoundAgg, GroupSpec, OutputSpec};
 use qagview_common::{FxHashMap, QagError, Result, Symbol};
 use qagview_lattice::AnswerSet;
-use qagview_storage::{Column, Table};
+use qagview_storage::sumlane::{from_fixed, pow2, to_fixed};
+use qagview_storage::{Column, SumLane, Table};
 use std::cmp::Ordering;
 
 /// Encode an `i64` group-key part so that `u64` comparison preserves the
@@ -54,13 +55,7 @@ pub(crate) fn finish_hash(h: u64) -> u64 {
 /// `-∞` for negative NaNs) instead of comparator-dependent garbage.
 #[inline]
 pub(crate) fn f64_sort_bits(v: f64) -> u64 {
-    let v = if v == 0.0 { 0.0 } else { v };
-    let b = v.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
+    total_key(if v == 0.0 { 0.0 } else { v })
 }
 
 /// Assigns dense group ids to rows from their encoded group keys.
@@ -104,12 +99,6 @@ impl GroupTable {
     /// The encoded key of group `gid`.
     pub fn key(&self, gid: usize) -> &[u64] {
         &self.keys[gid * self.width..(gid + 1) * self.width]
-    }
-
-    /// The whole key arena in group-id order (`width` lanes per group) —
-    /// what a scan partition hands to [`GroupTable::merge_partition`].
-    pub(crate) fn key_arena(&self) -> &[u64] {
-        &self.keys
     }
 
     /// Reset for a new query with keys of `width` lanes, keeping the
@@ -186,170 +175,462 @@ impl GroupTable {
         }
     }
 
-    /// Fold one scan partition's groups into this table and translate the
-    /// partition's per-row local group ids into global ids, written to
-    /// `global` (cleared first). `local_keys` is the partition table's key
-    /// arena, holding `num_local` groups.
-    ///
-    /// Local groups are inserted in local-gid order. A partition scanned in
-    /// ascending row order numbers its groups by first encounter, so
-    /// merging ascending contiguous partitions reproduces the
-    /// single-partition first-encounter order exactly, whatever the
-    /// partition boundaries. The morsel-parallel scan rests its partition
-    /// invariance on this.
-    pub(crate) fn merge_partition(
-        &mut self,
-        local_keys: &[u64],
-        num_local: usize,
-        local_gids: &[u32],
-        global: &mut Vec<u32>,
-    ) {
+    /// Assign group ids to `count` whole keys (`keys` row-major, `width`
+    /// lanes each), hashing them here; ids go to `gids` (cleared first),
+    /// new groups numbered in call order. The morsel-parallel merge inserts
+    /// every worker's groups through this in order of their first row,
+    /// which reproduces the sequential scan's first-encounter order.
+    pub(crate) fn assign_keys(&mut self, keys: &[u64], count: usize, gids: &mut Vec<u32>) {
         let hashes: Vec<u64> = if self.width == 0 {
-            vec![0; num_local]
+            vec![0; count]
         } else {
-            local_keys
-                .chunks_exact(self.width)
+            keys.chunks_exact(self.width)
                 .map(|key| key.iter().fold(0u64, |h, &lane| fold_hash(h, lane)))
                 .collect()
         };
-        let mut remap = Vec::with_capacity(num_local);
-        self.assign(local_keys, &hashes, num_local, &mut remap);
-        global.clear();
-        global.extend(local_gids.iter().map(|&lg| remap[lg as usize]));
+        self.assign(keys, &hashes, count, gids);
     }
 }
 
-/// Per-group row counts, shared by every aggregate of a query: columns
-/// are non-nullable, so `COUNT(*)`, `COUNT(col)`, and the denominators of
-/// every `AVG` all count exactly the selected rows — one pass suffices.
-#[derive(Debug, Default)]
-struct GroupCounts {
-    count: Vec<u64>,
+/// Digits of a [`Superacc`]: base `2^32`, digit `i` weighing
+/// `2^(32·i − 1074)`. 68 digits reach past `2^1088`, the bound on any sum
+/// of up to `2^64` finite floats.
+const SUPERACC_LIMBS: usize = 68;
+
+/// Adds a [`Superacc`] absorbs between carry passes. Each add moves a limb
+/// by less than `2^32`, so limbs stay far inside `i64`.
+const SUPERACC_CARRY_EVERY: u32 = 1 << 30;
+
+/// The general exact lane: the exact sum of any floats, as a fixed-point
+/// superaccumulator over the whole `f64` exponent range with deferred
+/// carries, plus flags for non-finite inputs. Adding is order-free and two
+/// accumulators merge limb by limb. It serves only columns outside the
+/// fixed lane (see [`SumLane`]), so it trades speed for simplicity.
+#[derive(Debug, Clone)]
+struct Superacc {
+    limbs: [i64; SUPERACC_LIMBS],
+    /// Adds (or merged adds) since the last carry pass.
+    pending: u32,
+    nan: bool,
+    pos_inf: bool,
+    neg_inf: bool,
 }
 
-impl GroupCounts {
-    /// Count each row of the batch into its group.
-    fn count_rows(&mut self, gids: &[u32], num_groups: usize) {
-        if self.count.len() < num_groups {
-            self.count.resize(num_groups, 0);
-        }
-        for &g in gids {
-            self.count[g as usize] += 1;
+impl Default for Superacc {
+    fn default() -> Self {
+        Superacc {
+            limbs: [0; SUPERACC_LIMBS],
+            pending: 0,
+            nan: false,
+            pos_inf: false,
+            neg_inf: false,
         }
     }
 }
 
-/// Columnar accumulator state for one aggregate: structure-of-arrays over
-/// group ids, updated by batch kernels. Only the state the aggregate's
-/// function finishes from is maintained.
-#[derive(Debug, Default)]
-struct AggColumns {
-    sum: Vec<f64>,
-    min: Vec<f64>,
-    max: Vec<f64>,
+/// Propagate carries so every limb but the top one lies in `[0, 2^32)`;
+/// the top limb carries the sign.
+fn carry(limbs: &mut [i64; SUPERACC_LIMBS]) {
+    for i in 0..SUPERACC_LIMBS - 1 {
+        let c = limbs[i] >> 32;
+        limbs[i] -= c << 32;
+        limbs[i + 1] += c;
+    }
 }
 
-impl AggColumns {
-    /// Grow to hold `n` groups.
-    fn ensure(&mut self, n: usize) {
-        if self.sum.len() < n {
-            self.sum.resize(n, 0.0);
-            self.min.resize(n, f64::INFINITY);
-            self.max.resize(n, f64::NEG_INFINITY);
-        }
-    }
-
-    /// `SUM`/`AVG` update: running sum. Accumulation order is ascending
-    /// row id (the batches scan in table order), so per-group float sums
-    /// are bit-identical to the row-at-a-time reference path.
-    fn accumulate_sum(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
-        self.ensure(num_groups);
-        for (&g, &x) in gids.iter().zip(vals) {
-            self.sum[g as usize] += x;
-        }
-    }
-
-    /// `MIN` update.
-    fn accumulate_min(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
-        self.ensure(num_groups);
-        for (&g, &x) in gids.iter().zip(vals) {
-            let g = g as usize;
-            self.min[g] = self.min[g].min(x);
-        }
-    }
-
-    /// `MAX` update.
-    fn accumulate_max(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
-        self.ensure(num_groups);
-        for (&g, &x) in gids.iter().zip(vals) {
-            let g = g as usize;
-            self.max[g] = self.max[g].max(x);
-        }
-    }
-
-    /// The finished value of `func` for group `gid`.
-    fn finish(&self, func: AggFunc, gid: usize, counts: &GroupCounts) -> f64 {
-        match func {
-            AggFunc::Count => counts.count[gid] as f64,
-            AggFunc::Sum => self.sum[gid],
-            AggFunc::Avg => {
-                debug_assert!(counts.count[gid] > 0, "groups are never empty");
-                self.sum[gid] / counts.count[gid] as f64
+impl Superacc {
+    fn add(&mut self, x: f64) {
+        if !x.is_finite() {
+            if x.is_nan() {
+                self.nan = true;
+            } else if x > 0.0 {
+                self.pos_inf = true;
+            } else {
+                self.neg_inf = true;
             }
-            AggFunc::Min => self.min[gid],
-            AggFunc::Max => self.max[gid],
+            return;
+        }
+        let bits = x.to_bits();
+        let field = ((bits >> 52) & 0x7ff) as u32;
+        let frac = bits & ((1 << 52) - 1);
+        // x = ±m · 2^(p − 1074); subnormals (and zeros) have p = 0.
+        let (m, p) = if field == 0 {
+            (frac, 0)
+        } else {
+            (frac | (1 << 52), field - 1)
+        };
+        let v = u128::from(m) << (p % 32);
+        let i = (p / 32) as usize;
+        for (j, digit) in [v & 0xffff_ffff, (v >> 32) & 0xffff_ffff, v >> 64]
+            .into_iter()
+            .enumerate()
+        {
+            let digit = digit as i64;
+            if x < 0.0 {
+                self.limbs[i + j] -= digit;
+            } else {
+                self.limbs[i + j] += digit;
+            }
+        }
+        self.note_adds(1);
+    }
+
+    fn merge(&mut self, other: &Superacc) {
+        for (a, b) in self.limbs.iter_mut().zip(&other.limbs) {
+            *a += b;
+        }
+        self.nan |= other.nan;
+        self.pos_inf |= other.pos_inf;
+        self.neg_inf |= other.neg_inf;
+        self.note_adds(other.pending);
+    }
+
+    fn note_adds(&mut self, adds: u32) {
+        self.pending += adds;
+        if self.pending >= SUPERACC_CARRY_EVERY {
+            carry(&mut self.limbs);
+            // Carried limbs are worth at most one add each.
+            self.pending = 1;
+        }
+    }
+
+    /// The exact sum rounded once to the nearest `f64` (ties to even;
+    /// `±∞` past the largest float; an exact zero is `+0.0`). NaN if any
+    /// input was NaN or both infinities occurred.
+    fn finish(&self) -> f64 {
+        if self.nan || (self.pos_inf && self.neg_inf) {
+            return f64::NAN;
+        }
+        if self.pos_inf {
+            return f64::INFINITY;
+        }
+        if self.neg_inf {
+            return f64::NEG_INFINITY;
+        }
+        let mut limbs = self.limbs;
+        carry(&mut limbs);
+        let neg = limbs[SUPERACC_LIMBS - 1] < 0;
+        if neg {
+            limbs.iter_mut().for_each(|l| *l = -*l);
+            carry(&mut limbs);
+        }
+        let Some(top) = limbs.iter().rposition(|&l| l != 0) else {
+            return 0.0;
+        };
+        // The top three digits hold at least 65 significant bits; every
+        // lower digit folds into one sticky bit below the rounding point,
+        // so the u128 → f64 conversion is the one rounding.
+        let base = top.saturating_sub(2);
+        let mut m = limbs[base..=top]
+            .iter()
+            .rev()
+            .fold(0u128, |m, &l| (m << 32) | l as u128);
+        if limbs[..base].iter().any(|&l| l != 0) {
+            m |= 1;
+        }
+        // Exact scaling: a subnormal result is below 2^52 units of 2^-1074,
+        // so its m converted without rounding.
+        let exp = 32 * base as i32 - 1074;
+        let scale = if exp >= -1022 {
+            pow2(exp)
+        } else {
+            f64::from_bits(1 << (exp + 1074))
+        };
+        let mag = m as f64 * scale;
+        if neg {
+            -mag
+        } else {
+            mag
         }
     }
 }
 
-/// The running aggregate state of an exact group phase: the shared
-/// per-group row counts plus one columnar accumulator per aggregate.
+/// Per-group exact sums of one aggregate input. `SUM`/`AVG` are the
+/// correctly rounded exact sum, so the partial sums of a group's rows from
+/// any partition of them merge, in any order, into the same bits.
+///
+/// A [`SumLane::Fixed`] column sums integers in units of `unit = 2^shift`
+/// (`inv_unit = 2^-shift`): in `i64` when the certificate's `bits` allow,
+/// which keeps the narrow conversion on the hot path, else in `i128`.
+#[derive(Debug)]
+enum ExactSum {
+    Narrow {
+        inv_unit: f64,
+        unit: f64,
+        sums: Vec<i64>,
+    },
+    Wide {
+        inv_unit: f64,
+        unit: f64,
+        sums: Vec<i128>,
+    },
+    /// The general lane: one superaccumulator per group.
+    General(Vec<Superacc>),
+}
+
+/// Grow per-group state to `n` groups, filling with `empty`.
+fn grow<T: Clone>(v: &mut Vec<T>, n: usize, empty: T) {
+    if v.len() < n {
+        v.resize(n, empty);
+    }
+}
+
+/// Add partition sums `local` (local group `i` is group `remap[i]`).
+fn add_remapped<T: Copy + Default + std::ops::AddAssign>(
+    sums: &mut Vec<T>,
+    local: &[T],
+    remap: &[u32],
+    num_groups: usize,
+) {
+    grow(sums, num_groups, T::default());
+    for (&g, &s) in remap.iter().zip(local) {
+        sums[g as usize] += s;
+    }
+}
+
+impl ExactSum {
+    fn new(lane: SumLane) -> Self {
+        match lane {
+            SumLane::Fixed { shift, bits } if bits <= 63 => ExactSum::Narrow {
+                inv_unit: pow2(-shift),
+                unit: pow2(shift),
+                sums: Vec::new(),
+            },
+            SumLane::Fixed { shift, .. } => ExactSum::Wide {
+                inv_unit: pow2(-shift),
+                unit: pow2(shift),
+                sums: Vec::new(),
+            },
+            SumLane::General => ExactSum::General(Vec::new()),
+        }
+    }
+
+    fn add(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
+        match self {
+            ExactSum::Narrow { inv_unit, sums, .. } => {
+                grow(sums, num_groups, 0);
+                // Exact: the scaled value is an integer below 2^63.
+                for (&g, &x) in gids.iter().zip(vals) {
+                    sums[g as usize] += (x * *inv_unit) as i64;
+                }
+            }
+            ExactSum::Wide { inv_unit, sums, .. } => {
+                grow(sums, num_groups, 0);
+                for (&g, &x) in gids.iter().zip(vals) {
+                    sums[g as usize] += to_fixed(x, *inv_unit);
+                }
+            }
+            ExactSum::General(accs) => {
+                grow(accs, num_groups, Superacc::default());
+                for (&g, &x) in gids.iter().zip(vals) {
+                    accs[g as usize].add(x);
+                }
+            }
+        }
+    }
+
+    /// Add partition sums `part` (local group `i` is group `remap[i]`).
+    fn merge(&mut self, part: &ExactSum, remap: &[u32], num_groups: usize) {
+        match (self, part) {
+            (ExactSum::Narrow { sums, .. }, ExactSum::Narrow { sums: local, .. }) => {
+                add_remapped(sums, local, remap, num_groups)
+            }
+            (ExactSum::Wide { sums, .. }, ExactSum::Wide { sums: local, .. }) => {
+                add_remapped(sums, local, remap, num_groups)
+            }
+            (ExactSum::General(accs), ExactSum::General(local)) => {
+                grow(accs, num_groups, Superacc::default());
+                for (&g, acc) in remap.iter().zip(local) {
+                    accs[g as usize].merge(acc);
+                }
+            }
+            _ => unreachable!("partitions of one column share its sum lane"),
+        }
+    }
+
+    fn finish(&self, gid: usize) -> f64 {
+        match self {
+            ExactSum::Narrow { unit, sums, .. } => from_fixed(i128::from(sums[gid]), *unit),
+            ExactSum::Wide { unit, sums, .. } => from_fixed(sums[gid], *unit),
+            ExactSum::General(accs) => accs[gid].finish(),
+        }
+    }
+}
+
+/// IEEE 754 `totalOrder` key of a float: unsigned order on the keys is the
+/// float order with `−0.0 < +0.0` (NaNs land beyond `±∞`).
+#[inline]
+fn total_key(v: f64) -> u64 {
+    let b = v.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | (1 << 63)
+    }
+}
+
+#[inline]
+fn from_total_key(k: u64) -> f64 {
+    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
+}
+
+/// `MIN` or `MAX` state: per group, the `totalOrder` key of the extreme
+/// non-NaN input so far, or `none` before one is seen. `none` lies beyond
+/// every non-NaN key on the losing side of `pick`, so it never wins.
+#[derive(Debug)]
+struct Extremes {
+    keys: Vec<u64>,
+    none: u64,
+    pick: fn(u64, u64) -> u64,
+}
+
+impl Extremes {
+    fn min() -> Self {
+        Extremes {
+            keys: Vec::new(),
+            none: u64::MAX,
+            pick: u64::min,
+        }
+    }
+
+    fn max() -> Self {
+        Extremes {
+            keys: Vec::new(),
+            none: 0,
+            pick: u64::max,
+        }
+    }
+
+    fn add(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
+        grow(&mut self.keys, num_groups, self.none);
+        for (&g, &x) in gids.iter().zip(vals) {
+            let k = if x.is_nan() { self.none } else { total_key(x) };
+            self.keys[g as usize] = (self.pick)(self.keys[g as usize], k);
+        }
+    }
+
+    /// Merge partition extremes `part` (local group `i` is group `remap[i]`).
+    fn merge(&mut self, part: &Extremes, remap: &[u32], num_groups: usize) {
+        grow(&mut self.keys, num_groups, self.none);
+        for (&g, &k) in remap.iter().zip(&part.keys) {
+            self.keys[g as usize] = (self.pick)(self.keys[g as usize], k);
+        }
+    }
+
+    /// NaN when the group had no non-NaN input.
+    fn finish(&self, gid: usize) -> f64 {
+        let key = self.keys[gid];
+        if key == self.none {
+            f64::NAN
+        } else {
+            from_total_key(key)
+        }
+    }
+}
+
+/// Running state of one aggregate over group ids.
+#[derive(Debug)]
+enum AggState {
+    /// `COUNT` finishes from the shared row counts.
+    Count,
+    /// `SUM` and `AVG`.
+    Sum(ExactSum),
+    /// `MIN` and `MAX`.
+    Extreme(Extremes),
+}
+
+/// The aggregate state of a group phase, or of one partition of it: the
+/// shared per-group row counts plus one state per aggregate. Every state
+/// is a mergeable partial — counts and exact sums add, extremes compare —
+/// so the partitions of a scan merge into the bits a single pass yields,
+/// in any order.
 #[derive(Debug)]
 pub(crate) struct Accumulators {
-    /// Per aggregate: its function and the distinct input column it reads
-    /// (`None` when it finishes from the counts alone).
-    aggs: Vec<(AggFunc, Option<usize>)>,
-    counts: GroupCounts,
-    acc: Vec<AggColumns>,
+    /// Per aggregate: its function, the distinct input column it reads
+    /// (`None` for `COUNT`), and its state.
+    aggs: Vec<(AggFunc, Option<usize>, AggState)>,
+    /// Rows per group, shared by every aggregate: columns are non-nullable,
+    /// so `COUNT(*)`, `COUNT(col)`, and every `AVG`'s denominator all count
+    /// exactly the selected rows.
+    counts: Vec<u64>,
 }
 
 impl Accumulators {
     /// Empty state for `aggs`, where `agg_input[i]` is the distinct input
-    /// column aggregate `i` reads.
-    pub(crate) fn new(aggs: &[BoundAgg], agg_input: &[Option<usize>]) -> Self {
+    /// column aggregate `i` reads and `lanes[k]` the sum lane of distinct
+    /// input `k`.
+    pub(crate) fn new(aggs: &[BoundAgg], agg_input: &[Option<usize>], lanes: &[SumLane]) -> Self {
         Accumulators {
             aggs: aggs
                 .iter()
                 .zip(agg_input)
-                .map(|(agg, &k)| (agg.func, k))
+                .map(|(agg, &k)| {
+                    let state = match (agg.func, k) {
+                        (AggFunc::Sum | AggFunc::Avg, Some(k)) => {
+                            AggState::Sum(ExactSum::new(lanes[k]))
+                        }
+                        (AggFunc::Min, Some(_)) => AggState::Extreme(Extremes::min()),
+                        (AggFunc::Max, Some(_)) => AggState::Extreme(Extremes::max()),
+                        _ => AggState::Count,
+                    };
+                    (agg.func, k, state)
+                })
                 .collect(),
-            counts: GroupCounts::default(),
-            acc: aggs.iter().map(|_| AggColumns::default()).collect(),
+            counts: Vec::new(),
         }
     }
 
     /// Fold rows into their groups: `gids[i]` is the group of row `i` and
     /// `input(k)` the rows' values of distinct input column `k`, in the
-    /// same order. Each aggregate maintains only the state its function
-    /// finishes from.
+    /// same order.
     pub(crate) fn add<'v>(
         &mut self,
         gids: &[u32],
         num_groups: usize,
         input: impl Fn(usize) -> &'v [f64],
     ) {
-        // Row counts are shared: every aggregate of the query counts
-        // exactly the selected rows (columns are non-nullable).
-        self.counts.count_rows(gids, num_groups);
-        for (&(func, k), acc) in self.aggs.iter().zip(&mut self.acc) {
-            // COUNT(*) / COUNT(col) finish from the shared counts alone.
-            let Some(k) = k else { continue };
-            match func {
-                AggFunc::Sum | AggFunc::Avg => acc.accumulate_sum(gids, input(k), num_groups),
-                AggFunc::Min => acc.accumulate_min(gids, input(k), num_groups),
-                AggFunc::Max => acc.accumulate_max(gids, input(k), num_groups),
-                AggFunc::Count => unreachable!("COUNT reads no input column"),
+        grow(&mut self.counts, num_groups, 0);
+        for &g in gids {
+            self.counts[g as usize] += 1;
+        }
+        for (_, k, state) in &mut self.aggs {
+            let Some(k) = *k else { continue };
+            match state {
+                AggState::Count => {}
+                AggState::Sum(sum) => sum.add(gids, input(k), num_groups),
+                AggState::Extreme(ext) => ext.add(gids, input(k), num_groups),
             }
+        }
+    }
+
+    /// Merge a partition's state `part`, whose local group `i` is group
+    /// `remap[i]` of this state's `num_groups`.
+    pub(crate) fn merge(&mut self, part: &Accumulators, remap: &[u32], num_groups: usize) {
+        add_remapped(&mut self.counts, &part.counts, remap, num_groups);
+        for ((_, _, state), (_, _, local)) in self.aggs.iter_mut().zip(&part.aggs) {
+            match (state, local) {
+                (AggState::Count, AggState::Count) => {}
+                (AggState::Sum(sum), AggState::Sum(local)) => sum.merge(local, remap, num_groups),
+                (AggState::Extreme(ext), AggState::Extreme(local)) => {
+                    ext.merge(local, remap, num_groups)
+                }
+                _ => unreachable!("partitions of one query share its aggregates"),
+            }
+        }
+    }
+
+    /// The finished value of aggregate `i` for group `gid`.
+    fn finish(&self, i: usize, gid: usize) -> f64 {
+        let (func, _, state) = &self.aggs[i];
+        let count = self.counts[gid];
+        match (func, state) {
+            (AggFunc::Avg, AggState::Sum(sum)) => {
+                debug_assert!(count > 0, "groups are never empty");
+                sum.finish(gid) / count as f64
+            }
+            (_, AggState::Sum(sum)) => sum.finish(gid),
+            (_, AggState::Extreme(ext)) => ext.finish(gid),
+            (_, AggState::Count) => count as f64,
         }
     }
 }
@@ -397,15 +678,8 @@ impl GroupedResult {
         acc: &Accumulators,
     ) -> Result<Self> {
         let n = gt.num_groups();
-        let finished: Vec<Vec<f64>> = acc
-            .aggs
-            .iter()
-            .zip(&acc.acc)
-            .map(|(&(func, _), col)| {
-                (0..n)
-                    .map(|gid| col.finish(func, gid, &acc.counts))
-                    .collect()
-            })
+        let finished: Vec<Vec<f64>> = (0..acc.aggs.len())
+            .map(|i| (0..n).map(|gid| acc.finish(i, gid)).collect())
             .collect();
         let group_cols = &spec.group_cols;
         let width = group_cols.len();
@@ -562,6 +836,24 @@ impl GroupedResult {
             }
         }
         finish_hash(h)
+    }
+
+    /// Every group's rendered attributes mapped to the bits of each of its
+    /// finished aggregates — the group phase with group order factored out,
+    /// which is what a permutation of the table's rows must preserve.
+    #[cfg(test)]
+    pub(crate) fn group_values(&self) -> std::collections::BTreeMap<Vec<String>, Vec<u64>> {
+        (0..self.num_groups)
+            .map(|g| {
+                let attrs = self.attr_codes[g * self.width..(g + 1) * self.width]
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &code)| self.attr_pool[j][code as usize].clone())
+                    .collect();
+                let vals = self.finished.iter().map(|col| col[g].to_bits()).collect();
+                (attrs, vals)
+            })
+            .collect()
     }
 
     /// Number of aggregates finished per group.
@@ -819,25 +1111,192 @@ mod tests {
         assert_eq!(gt.num_groups(), 0);
     }
 
+    fn accumulators(funcs: &[AggFunc], lane: SumLane) -> Accumulators {
+        let aggs: Vec<BoundAgg> = funcs
+            .iter()
+            .map(|&func| BoundAgg { func, col: Some(0) })
+            .collect();
+        let input: Vec<Option<usize>> = funcs
+            .iter()
+            .map(|&f| (f != AggFunc::Count).then_some(0))
+            .collect();
+        Accumulators::new(&aggs, &input, &[lane])
+    }
+
+    const ALL: [AggFunc; 5] = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Avg,
+        AggFunc::Min,
+        AggFunc::Max,
+    ];
+
     #[test]
     fn agg_columns_match_scalar_semantics() {
         let gids = [0u32, 1, 0];
         let vals = [2.0, 10.0, 4.0];
-        let mut counts = GroupCounts::default();
-        counts.count_rows(&gids, 2);
-        let mut sums = AggColumns::default();
-        sums.accumulate_sum(&gids, &vals, 2);
-        assert_eq!(sums.finish(AggFunc::Count, 0, &counts), 2.0);
-        assert_eq!(sums.finish(AggFunc::Sum, 0, &counts), 6.0);
-        assert_eq!(sums.finish(AggFunc::Avg, 0, &counts), 3.0);
-        assert_eq!(sums.finish(AggFunc::Avg, 1, &counts), 10.0);
-        let mut mins = AggColumns::default();
-        mins.accumulate_min(&gids, &vals, 2);
-        assert_eq!(mins.finish(AggFunc::Min, 0, &counts), 2.0);
-        assert_eq!(mins.finish(AggFunc::Min, 1, &counts), 10.0);
-        let mut maxs = AggColumns::default();
-        maxs.accumulate_max(&gids, &vals, 2);
-        assert_eq!(maxs.finish(AggFunc::Max, 0, &counts), 4.0);
-        assert_eq!(maxs.finish(AggFunc::Count, 1, &counts), 1.0);
+        for lane in [
+            SumLane::Fixed { shift: 1, bits: 6 },
+            SumLane::Fixed {
+                shift: 1,
+                bits: 100,
+            },
+            SumLane::General,
+        ] {
+            let mut acc = accumulators(&ALL, lane);
+            acc.add(&gids, 2, |_| &vals);
+            let finished = |g: usize| -> Vec<f64> { (0..5).map(|i| acc.finish(i, g)).collect() };
+            assert_eq!(finished(0), vec![2.0, 6.0, 3.0, 2.0, 4.0], "{lane:?}");
+            assert_eq!(finished(1), vec![1.0, 10.0, 10.0, 10.0, 10.0], "{lane:?}");
+        }
+    }
+
+    #[test]
+    fn merged_partitions_equal_one_pass_in_either_order() {
+        // Six rows of two groups, scanned whole and as two partitions.
+        // Partition b meets group 1 first, so its local ids are swapped.
+        let vals = [0.1, 1e-3, -0.0, 7.25, 1e10, 0.0];
+        let bits = |acc: &Accumulators| -> Vec<u64> {
+            (0..2)
+                .flat_map(|g| (0..5).map(move |i| (i, g)))
+                .map(|(i, g)| acc.finish(i, g).to_bits())
+                .collect()
+        };
+        for lane in [
+            SumLane::Fixed {
+                shift: -60,
+                bits: 100,
+            },
+            SumLane::General,
+        ] {
+            let mut whole = accumulators(&ALL, lane);
+            whole.add(&[0, 1, 0, 1, 0, 1], 2, |_| &vals);
+            let mut a = accumulators(&ALL, lane);
+            a.add(&[0, 1, 0], 2, |_| &vals[..3]);
+            let mut b = accumulators(&ALL, lane);
+            b.add(&[0, 1, 0], 2, |_| &vals[3..]);
+            let (remap_a, remap_b): (&[u32], &[u32]) = (&[0, 1], &[1, 0]);
+            for parts in [
+                [(&a, remap_a), (&b, remap_b)],
+                [(&b, remap_b), (&a, remap_a)],
+            ] {
+                let mut merged = accumulators(&ALL, lane);
+                for (part, remap) in parts {
+                    merged.merge(part, remap, 2);
+                }
+                assert_eq!(bits(&merged), bits(&whole), "{lane:?}");
+            }
+        }
+    }
+
+    /// Sum `vals` through the general lane.
+    fn general_sum(vals: &[f64]) -> f64 {
+        let mut s = Superacc::default();
+        vals.iter().for_each(|&x| s.add(x));
+        s.finish()
+    }
+
+    #[test]
+    fn general_lane_is_exact_where_float_chains_are_not() {
+        assert_eq!(general_sum(&[1e300, 1.0, -1e300]), 1.0);
+        // The float chain gives 0.6000000000000001.
+        assert_eq!(general_sum(&[0.1, 0.2, 0.3]), 0.6);
+        assert_eq!(general_sum(&[0.1; 10]), 1.0);
+        // Overflow past MAX and back is exact; a final overflow is inf.
+        assert_eq!(general_sum(&[f64::MAX, f64::MAX, -f64::MAX]), f64::MAX);
+        assert_eq!(general_sum(&[f64::MAX, f64::MAX]), f64::INFINITY);
+        assert_eq!(general_sum(&[-f64::MAX, -f64::MAX]), f64::NEG_INFINITY);
+        // Half an ulp above MAX ties to even: up, to inf. Just below the
+        // tie (a sticky bit far down) it stays MAX.
+        let half_ulp = pow2(970);
+        assert_eq!(general_sum(&[f64::MAX, half_ulp]), f64::INFINITY);
+        assert_eq!(
+            general_sum(&[f64::MAX, half_ulp, -f64::from_bits(1)]),
+            f64::MAX
+        );
+        // Ties to even in the middle of the range, decided by a sticky bit
+        // 2000 binary places below.
+        assert_eq!(general_sum(&[1.0, pow2(-53)]), 1.0);
+        assert_eq!(
+            general_sum(&[1.0, pow2(-53), f64::from_bits(1)]),
+            1.0 + pow2(-52)
+        );
+    }
+
+    #[test]
+    fn general_lane_rounds_once_at_the_subnormal_edge() {
+        let tiny = f64::from_bits(1);
+        assert_eq!(general_sum(&[tiny, tiny, tiny]), f64::from_bits(3));
+        // Subnormals summing into the normal range, exactly.
+        let big_sub = f64::from_bits((1 << 52) - 1);
+        assert_eq!(general_sum(&[big_sub, tiny]), f64::MIN_POSITIVE);
+        assert_eq!(
+            general_sum(&[big_sub, big_sub]),
+            f64::from_bits((1 << 53) - 2)
+        );
+        // Cancellation from the top of the range down to one subnormal.
+        assert_eq!(general_sum(&[1e308, tiny, -1e308]), tiny);
+        assert_eq!(general_sum(&[-tiny, 1e-300, -1e-300]), -tiny);
+    }
+
+    #[test]
+    fn general_lane_specials_and_zero_signs() {
+        assert!(general_sum(&[1.0, f64::NAN]).is_nan());
+        assert!(general_sum(&[f64::INFINITY, f64::NEG_INFINITY]).is_nan());
+        assert_eq!(general_sum(&[f64::INFINITY, -1e308]), f64::INFINITY);
+        assert_eq!(general_sum(&[f64::NEG_INFINITY, 5.0]), f64::NEG_INFINITY);
+        // An exact zero is +0.0, whatever the signs of the zeros summed.
+        assert_eq!(general_sum(&[-0.0]).to_bits(), 0);
+        assert_eq!(general_sum(&[-0.0, -0.0]).to_bits(), 0);
+        assert_eq!(general_sum(&[]).to_bits(), 0);
+        assert_eq!(general_sum(&[2.5, -2.5]).to_bits(), 0);
+    }
+
+    #[test]
+    fn general_lane_survives_many_carry_passes() {
+        // Force carries often by merging accumulators near the bound.
+        let mut s = Superacc {
+            pending: SUPERACC_CARRY_EVERY - 2,
+            ..Default::default()
+        };
+        for _ in 0..5 {
+            s.add(-0.75);
+        }
+        let mut t = Superacc::default();
+        t.add(4.0);
+        t.pending = SUPERACC_CARRY_EVERY - 1;
+        s.merge(&t);
+        assert_eq!(s.finish(), 0.25);
+    }
+
+    #[test]
+    fn extremes_follow_total_order_and_ignore_nan() {
+        let orders = [
+            [0.0, -0.0, f64::NAN],
+            [0.0, f64::NAN, -0.0],
+            [-0.0, 0.0, f64::NAN],
+            [-0.0, f64::NAN, 0.0],
+            [f64::NAN, 0.0, -0.0],
+            [f64::NAN, -0.0, 0.0],
+        ];
+        for zeros in orders {
+            let mut acc = accumulators(&[AggFunc::Min, AggFunc::Max], SumLane::General);
+            acc.add(&[0, 0, 0], 1, |_| &zeros);
+            assert_eq!(acc.finish(0, 0).to_bits(), (-0.0f64).to_bits(), "{zeros:?}");
+            assert_eq!(acc.finish(1, 0).to_bits(), 0.0f64.to_bits(), "{zeros:?}");
+        }
+        let mut acc = accumulators(&[AggFunc::Min, AggFunc::Max], SumLane::General);
+        acc.add(&[0, 0, 0, 1, 1], 2, |_| {
+            &[f64::NAN, 3.0, -2.0, f64::NAN, f64::NAN]
+        });
+        assert_eq!((acc.finish(0, 0), acc.finish(1, 0)), (-2.0, 3.0));
+        // A group of only NaNs has no extreme: NaN.
+        assert!(acc.finish(0, 1).is_nan() && acc.finish(1, 1).is_nan());
+        let mut inf = accumulators(&[AggFunc::Min, AggFunc::Max], SumLane::General);
+        inf.add(&[0, 0], 1, |_| &[f64::INFINITY, f64::NEG_INFINITY]);
+        assert_eq!(
+            (inf.finish(0, 0), inf.finish(1, 0)),
+            (f64::NEG_INFINITY, f64::INFINITY)
+        );
     }
 }

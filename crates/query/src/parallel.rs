@@ -1,52 +1,51 @@
 //! Morsel-parallel group-phase execution.
 //!
 //! [`group_aggregate_parallel`] partitions the table scan into fixed-size
-//! *morsels* (contiguous row ranges) run on the workspace worker pool
-//! ([`qagview_common::par::map_ordered`]). Each worker owns one pooled set
-//! of scan scratch — a [`GroupTable`] plus the batch buffers of the shared
-//! batch driver — reused across every morsel it claims (no per-morsel
-//! allocation). A worker scans its morsel through the same batch driver
-//! as the sequential scan, but instead of accumulating into global state
-//! it buffers a compact `MorselOutput`: the morsel's local group-key
-//! arena plus, per selected row, the local group id and the gathered
-//! aggregate-input values.
+//! *morsels* (contiguous row ranges) and folds them on the workspace
+//! worker pool ([`qagview_common::par::fold_workers`]). Each worker keeps
+//! one scan state across every morsel it claims — its own [`GroupTable`],
+//! the batch buffers of the shared batch driver, the partial aggregates of
+//! every group it has met, and the row at which it first met each group —
+//! and scans each morsel through the same batch driver as the sequential
+//! engine. No row outlives its batch: a worker's output is its groups and
+//! their partials, not its rows.
 //!
-//! # Determinism: ordered partition merge, ascending re-accumulation
+//! # Determinism: order-free exact aggregates
 //!
-//! Float addition is not associative, so merging per-partition *partial
-//! sums* can never be bit-identical to the sequential scan for an
-//! arbitrary partition count. This module therefore merges **rows, not
-//! sums**: morsel outputs are merged in ascending morsel order, each
-//! morsel's local group ids are remapped onto one global [`GroupTable`]
-//! (inserting each morsel's local groups in local first-encounter order),
-//! and every aggregate is re-accumulated row by row from the stored
-//! per-row values. Because morsels are contiguous ascending row ranges,
+//! Every aggregate state is a mergeable partial whose finished value does
+//! not depend on how the rows were split or in which order the pieces
+//! meet:
 //!
-//! * the global group-id assignment reproduces the sequential
-//!   first-encounter order exactly (a group's first global occurrence lies
-//!   in the first morsel containing it, and within that morsel local
-//!   first-encounter order *is* row order), and
-//! * the merge's row walk is the sequential scan's row walk, so every
-//!   `SUM`/`AVG` float addition chain — and every `MIN`/`MAX`
-//!   `f64::min`/`max` application order, which matters for signed zeros
-//!   and NaN operands — is replayed in the identical order.
+//! * `COUNT` adds integers.
+//! * `SUM`/`AVG` are the *correctly rounded exact sum* (then one division
+//!   by the count). Each group keeps an exact accumulator — an integer
+//!   fixed-point sum for columns whose sum-lane certificate admits one,
+//!   a superaccumulator otherwise (see [`qagview_storage::SumLane`]) — so
+//!   partial sums add exactly and round once, at the end.
+//! * `MIN`/`MAX` take the extreme non-NaN input under IEEE `totalOrder`
+//!   (`−0.0 < +0.0`), a total order, so any merge order picks the same
+//!   bits.
+//!
+//! The merge inserts every worker's groups into one global [`GroupTable`]
+//! in order of their first row. A group's first row in the table is the
+//! least of its workers' first rows, so this is exactly the sequential
+//! scan's first-encounter order, whatever the morsel size, worker count or
+//! schedule. It then adds each worker's partials into the global groups:
+//! `O(groups × workers)` work.
 //!
 //! The result is byte-identical (f64 bit patterns included) to
 //! [`crate::exec::group_aggregate`] for *any* partition count and any
-//! worker schedule; `P = 1` degenerates to an identity remap. The
-//! partition-count-invariance property suite in this module holds the
-//! contract on random tables and queries, with the sequential engine as
-//! oracle.
-//!
-//! The merge costs one extra `O(selected rows)` pass and the transient
-//! morsel outputs hold ~`4 + 8·(input columns)` bytes per selected row —
-//! the price of determinism, paid only on the parallel path.
+//! worker schedule, and its per-group values are identical under any
+//! permutation of the table's rows. The property suite in this module
+//! holds both contracts on random and adversarial tables, with the
+//! sequential engine and the row-at-a-time reference (whose exact sums
+//! come from a separate `msum` implementation) as oracles.
 
 use crate::exec::{plan_agg_inputs, scan_batches, AggInputs, ScanScratch, BATCH_ROWS};
 use crate::group::{Accumulators, GroupTable, GroupedResult};
 use crate::plan::GroupSpec;
-use qagview_common::par::{available_workers, map_ordered};
-use qagview_common::Result;
+use qagview_common::par::{available_workers, fold_workers};
+use qagview_common::{QagError, Result};
 use qagview_storage::Table;
 use std::ops::Range;
 
@@ -108,69 +107,59 @@ impl ParallelScanStats {
     }
 }
 
-/// One worker's pooled scan scratch, reused across every morsel it claims.
-struct WorkerScratch {
+/// One worker's scan, kept across every morsel it claims: its own group
+/// table and batch buffers, the partial aggregates of every group it has
+/// met, and the row at which it first met each one.
+struct WorkerScan {
     gt: GroupTable,
-    scan: ScanScratch,
+    scratch: ScanScratch,
+    acc: Accumulators,
+    /// Per local group: the first row of it this worker scanned.
+    first_rows: Vec<usize>,
+    /// The first scan error, after which the worker skips its morsels.
+    error: Option<QagError>,
 }
 
-impl WorkerScratch {
-    fn new(width: usize, num_inputs: usize) -> Self {
-        WorkerScratch {
+impl WorkerScan {
+    fn new(spec: &GroupSpec, inputs: &AggInputs) -> Self {
+        let width = spec.group_cols.len();
+        WorkerScan {
             gt: GroupTable::new(width),
-            scan: ScanScratch::new(width, num_inputs),
+            scratch: ScanScratch::new(width, inputs.input_cols.len()),
+            acc: Accumulators::new(&spec.aggs, &inputs.agg_input, &inputs.lanes),
+            first_rows: Vec::new(),
+            error: None,
         }
     }
-}
 
-/// What one partition's scan produced: the local group-key arena plus,
-/// per selected row in ascending row order, the local group id and the
-/// gathered value of each distinct aggregate input column.
-struct MorselOutput {
-    num_local_groups: usize,
-    /// Local key arena copied out of the worker's pooled table
-    /// (`width` lanes per local group, local-gid order).
-    local_keys: Vec<u64>,
-    /// Local group id of every selected row, ascending row order.
-    row_gids: Vec<u32>,
-    /// Per distinct input column: the selected rows' values, same order.
-    row_vals: Vec<Vec<f64>>,
-}
-
-/// Scan one partition through [`scan_batches`] with the worker's pooled
-/// scratch, buffering every batch into a [`MorselOutput`] instead of
-/// accumulating it.
-fn scan_morsel(
-    spec: &GroupSpec,
-    table: &Table,
-    inputs: &AggInputs,
-    rows: Range<usize>,
-    scratch: &mut WorkerScratch,
-) -> Result<MorselOutput> {
-    scratch.gt.clear(spec.group_cols.len());
-    let mut out = MorselOutput {
-        num_local_groups: 0,
-        local_keys: Vec::new(),
-        row_gids: Vec::new(),
-        row_vals: vec![Vec::new(); inputs.input_cols.len()],
-    };
-    scan_batches(
-        spec,
-        table,
-        inputs,
-        rows,
-        &mut scratch.gt,
-        &mut scratch.scan,
-        |batch| {
-            out.row_gids.extend_from_slice(batch.gids);
-            for (k, vals) in out.row_vals.iter_mut().enumerate() {
-                vals.extend_from_slice(batch.input(k));
+    /// Fold one morsel into this worker's groups and partials.
+    fn scan(&mut self, spec: &GroupSpec, table: &Table, inputs: &AggInputs, rows: Range<usize>) {
+        if self.error.is_some() {
+            return;
+        }
+        let WorkerScan {
+            gt,
+            scratch,
+            acc,
+            first_rows,
+            ..
+        } = self;
+        let scanned = scan_batches(spec, table, inputs, rows, gt, scratch, |batch| {
+            // A batch numbers its new groups in row order, after the
+            // groups already met.
+            if batch.num_groups > first_rows.len() {
+                for (i, &g) in batch.gids.iter().enumerate() {
+                    if g as usize == first_rows.len() {
+                        first_rows.push(batch.row(i));
+                    }
+                }
             }
-        },
-    )?;
-    out.num_local_groups = scratch.gt.num_groups();
-    out.local_keys = scratch.gt.key_arena().to_vec();
-    Ok(out)
+            acc.add(batch.gids, batch.num_groups, |k| batch.input(k));
+        });
+        if let Err(e) = scanned {
+            self.error = Some(e);
+        }
+    }
 }
 
 /// Run the group phase morsel-parallel. Byte-identical to
@@ -205,31 +194,49 @@ pub fn group_aggregate_parallel_with(
         .map(|start| start..(start + morsel_rows).min(n))
         .collect();
 
-    // Each pool worker scans the morsels it claims with its own pooled
-    // scratch; the outputs come back in morsel order, which is what makes
-    // the merge independent of the worker schedule.
-    let outputs = map_ordered(
+    // Each pool worker folds the morsels it claims into its own groups and
+    // partials.
+    let mut workers = fold_workers(
         &morsels,
         cfg.threads,
-        || WorkerScratch::new(width, inputs.input_cols.len()),
-        |scratch, rows| scan_morsel(spec, table, &inputs, rows.clone(), scratch),
+        || WorkerScan::new(spec, &inputs),
+        |w, _, rows| w.scan(spec, table, &inputs, rows.clone()),
     );
+    if let Some(e) = workers.iter_mut().find_map(|w| w.error.take()) {
+        return Err(e);
+    }
 
-    // Ordered merge: walk morsels in ascending id, remap local group ids
-    // through the global table, and re-accumulate every aggregate row by
-    // row — replaying the sequential scan's exact accumulation order.
+    // Merge: insert every worker's groups into the global table in order
+    // of their first row — the sequential scan's first-encounter order —
+    // then add each worker's partials into the global groups.
+    let mut order: Vec<(usize, usize, usize)> = workers
+        .iter()
+        .enumerate()
+        .flat_map(|(w, scan)| {
+            scan.first_rows
+                .iter()
+                .enumerate()
+                .map(move |(local, &row)| (row, w, local))
+        })
+        .collect();
+    order.sort_unstable();
+    let keys: Vec<u64> = order
+        .iter()
+        .flat_map(|&(_, w, local)| workers[w].gt.key(local).iter().copied())
+        .collect();
     gt.clear(width);
-    let mut acc = Accumulators::new(&spec.aggs, &inputs.agg_input);
     let mut gids: Vec<u32> = Vec::new();
-    for out in outputs {
-        let out = out?;
-        gt.merge_partition(
-            &out.local_keys,
-            out.num_local_groups,
-            &out.row_gids,
-            &mut gids,
-        );
-        acc.add(&gids, gt.num_groups(), |k| &out.row_vals[k]);
+    gt.assign_keys(&keys, order.len(), &mut gids);
+    let mut remaps: Vec<Vec<u32>> = workers
+        .iter()
+        .map(|w| vec![0; w.first_rows.len()])
+        .collect();
+    for (&(_, w, local), &g) in order.iter().zip(&gids) {
+        remaps[w][local] = g;
+    }
+    let mut acc = Accumulators::new(&spec.aggs, &inputs.agg_input, &inputs.lanes);
+    for (w, remap) in workers.iter().zip(&remaps) {
+        acc.merge(&w.acc, remap, gt.num_groups());
     }
 
     stats.parallel_scans += 1;
@@ -260,7 +267,7 @@ mod tests {
     use crate::exec::{execute_rows, group_aggregate};
     use crate::parser::parse;
     use crate::plan::bind;
-    use crate::testutil::random_table;
+    use crate::testutil::{adversarial_table, permuted, random_table};
 
     /// The partition counts every invariance test sweeps — 1 degenerates
     /// to the identity remap, the rest force group keys to straddle
@@ -303,17 +310,129 @@ mod tests {
                     b.is_ok()
                 ),
             }
-            // And the rendered output matches the row-at-a-time reference
-            // modulo NaN != NaN (covered by the fingerprints above).
-            let out = par.apply(&bound.output).unwrap();
-            let reference = execute_rows(&bound, table).unwrap();
+            // And the rendered output matches the row-at-a-time reference,
+            // whose sums come from its own msum, modulo NaN != NaN.
             let canon = |o: &crate::exec::QueryOutput| -> Vec<(Vec<String>, u64)> {
                 o.rows
                     .iter()
                     .map(|r| (r.attrs.clone(), r.val.to_bits()))
                     .collect()
             };
-            assert_eq!(canon(&out), canon(&reference), "P={p} vs reference, {sql}");
+            match (par.apply(&bound.output), execute_rows(&bound, table)) {
+                (Ok(out), Ok(reference)) => {
+                    assert_eq!(canon(&out), canon(&reference), "P={p} vs reference, {sql}")
+                }
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "P={p}, {sql}"),
+                (a, b) => panic!(
+                    "reference Ok/Err parity broken at P={p} for {sql}: \
+                     parallel ok={}, reference ok={}",
+                    a.is_ok(),
+                    b.is_ok()
+                ),
+            }
+        }
+    }
+
+    /// Assert every group's finished values are bit-identical on seeded
+    /// row permutations of `table`, for the sequential scan and every swept
+    /// partition count.
+    fn assert_permutation_invariant(sql: &str, table: &Table) {
+        let bound = bind(&parse(sql).unwrap(), table).unwrap();
+        let want = group_aggregate(&bound.group, table).unwrap().group_values();
+        for seed in [1u64, 2, 3] {
+            let shuffled = permuted(table, seed);
+            let bound = bind(&parse(sql).unwrap(), &shuffled).unwrap();
+            let seq = group_aggregate(&bound.group, &shuffled).unwrap();
+            assert_eq!(seq.group_values(), want, "sequential, perm {seed}, {sql}");
+            for p in PARTITIONS {
+                let cfg = ParallelConfig::with_partitions(shuffled.num_rows(), p);
+                let par = group_aggregate_parallel(&bound.group, &shuffled, &cfg).unwrap();
+                assert_eq!(par.group_values(), want, "P={p}, perm {seed}, {sql}");
+            }
+        }
+    }
+
+    /// Query shapes over [`adversarial_table`]: general-lane (`z`) and
+    /// fixed-lane (`c`) sums, averages and extremes, with and without
+    /// predicates and HAVING.
+    const ADVERSARIAL_SQL: [&str; 6] = [
+        "SELECT g, SUM(z) AS val FROM t GROUP BY g ORDER BY val DESC",
+        "SELECT g, s, AVG(z) AS val FROM t GROUP BY g, s ORDER BY val ASC",
+        "SELECT s, SUM(c) AS val FROM t WHERE c >= 10 GROUP BY s ORDER BY val DESC",
+        "SELECT g, AVG(c) AS val FROM t GROUP BY g HAVING count(*) > 3 ORDER BY val DESC",
+        "SELECT g, MIN(z) AS val FROM t GROUP BY g HAVING max(z) > 0 ORDER BY val ASC",
+        "SELECT s, MAX(z) AS val FROM t WHERE c < 0 GROUP BY s HAVING avg(c) < 0 \
+         ORDER BY val DESC",
+    ];
+
+    #[test]
+    fn adversarial_columns_are_partition_and_permutation_invariant() {
+        for seed in [7u64, 99] {
+            let table = adversarial_table(seed, 6_000 + seed as usize);
+            let lane = |name: &str| {
+                let c = table.schema().index_of(name).unwrap();
+                table.sum_lane(c).unwrap()
+            };
+            assert_eq!(lane("z"), qagview_storage::SumLane::General);
+            assert!(matches!(lane("c"), qagview_storage::SumLane::Fixed { .. }));
+            for sql in ADVERSARIAL_SQL {
+                assert_partition_invariant(sql, &table);
+                assert_permutation_invariant(sql, &table);
+            }
+        }
+    }
+
+    #[test]
+    fn random_tables_are_permutation_invariant() {
+        let table = random_table(8, 5_000);
+        for sql in [
+            "SELECT g, SUM(x) AS val FROM t GROUP BY g ORDER BY val DESC",
+            "SELECT g, s, AVG(x) AS val FROM t WHERE flag = true GROUP BY g, s",
+            "SELECT s, MIN(x) AS val FROM t GROUP BY s",
+            "SELECT s, MAX(x) AS val FROM t GROUP BY s",
+            "SELECT s, SUM(n) AS val FROM t GROUP BY s",
+        ] {
+            assert_permutation_invariant(sql, &table);
+        }
+    }
+
+    #[test]
+    fn signed_zero_extremes_agree_across_engines_and_row_orders() {
+        use qagview_storage::{Cell, ColumnType, Schema, TableBuilder};
+        for zeros in [[0.0, -0.0], [-0.0, 0.0]] {
+            let schema =
+                Schema::from_pairs(&[("g", ColumnType::Int), ("x", ColumnType::Float)]).unwrap();
+            let mut b = TableBuilder::new(schema);
+            for x in zeros.into_iter().chain([f64::NAN]) {
+                b.push_row(vec![Cell::Int(0), Cell::Float(x)]).unwrap();
+            }
+            let table = b.finish();
+            for (func, want) in [("MIN", -0.0f64), ("MAX", 0.0)] {
+                let sql = format!("SELECT g, {func}(x) AS val FROM t GROUP BY g");
+                let bound = bind(&parse(&sql).unwrap(), &table).unwrap();
+                let mut got = vec![
+                    (
+                        "sequential".to_string(),
+                        crate::exec::execute(&bound, &table).unwrap(),
+                    ),
+                    (
+                        "reference".to_string(),
+                        execute_rows(&bound, &table).unwrap(),
+                    ),
+                ];
+                for p in PARTITIONS {
+                    let cfg = ParallelConfig::with_partitions(table.num_rows(), p);
+                    let par = group_aggregate_parallel(&bound.group, &table, &cfg).unwrap();
+                    got.push((format!("P={p}"), par.apply(&bound.output).unwrap()));
+                }
+                for (engine, out) in got {
+                    assert_eq!(
+                        out.rows[0].val.to_bits(),
+                        want.to_bits(),
+                        "{engine} {func} over {zeros:?}"
+                    );
+                }
+            }
         }
     }
 

@@ -2,6 +2,7 @@
 //! caller: the sequential and the morsel-parallel scans.
 
 use crate::exec::BATCH_ROWS;
+use qagview_common::Value;
 use qagview_storage::{Cell, ColumnType, Schema, Table, TableBuilder};
 
 /// Tiny deterministic xorshift so the property tests need no RNG dep.
@@ -62,6 +63,77 @@ pub(crate) fn random_table(seed: u64, rows: usize) -> Table {
             Cell::Int(band),
         ])
         .unwrap();
+    }
+    b.finish()
+}
+
+/// A table built to break order-dependent sums. `c` holds cents computed
+/// in floating point (a fixed-lane column whose float-chain sums depend
+/// on row order). `z` forces the general lane: per group, `±1e300` come in
+/// cancelling pairs (at most one left over), mixed with `1e-300`,
+/// subnormals, `-0.0`, mid-sized values, and rare `±inf` and NaN.
+pub(crate) fn adversarial_table(seed: u64, rows: usize) -> Table {
+    let schema = Schema::from_pairs(&[
+        ("g", ColumnType::Int),
+        ("s", ColumnType::Str),
+        ("c", ColumnType::Float),
+        ("z", ColumnType::Float),
+    ])
+    .unwrap();
+    let mut rng = XorShift(seed.wrapping_mul(0x2545_f491_4f6c_dd1d).max(1));
+    let groups = 17;
+    let mut big_sign = vec![1.0f64; groups];
+    let mut b = TableBuilder::with_capacity(schema, rows);
+    for _ in 0..rows {
+        let g = rng.below(groups as u64) as usize;
+        let s = format!("s{}", rng.below(5));
+        let c = (rng.below(200_000) as f64) * 0.01 - 1000.0;
+        let z = match rng.below(1000) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            k if k < 100 => {
+                let z = big_sign[g] * 1e300;
+                big_sign[g] = -big_sign[g];
+                z
+            }
+            k if k < 150 => 1e-300,
+            k if k < 200 => -f64::from_bits(rng.below(1 << 52)),
+            k if k < 250 => -0.0,
+            k if k < 600 => (rng.below(1 << 20) as f64) * 1e-7,
+            _ => (rng.below(1 << 30) as f64) / 3.0 - 1e8,
+        };
+        b.push_row(vec![
+            Cell::Int(g as i64),
+            s.as_str().into(),
+            Cell::Float(c),
+            Cell::Float(z),
+        ])
+        .unwrap();
+    }
+    b.finish()
+}
+
+/// `table` with its rows in a seeded random order (Fisher–Yates).
+pub(crate) fn permuted(table: &Table, seed: u64) -> Table {
+    let n = table.num_rows();
+    let mut order: Vec<usize> = (0..n).collect();
+    let mut rng = XorShift(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1));
+    for i in (1..n).rev() {
+        order.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    let mut b = TableBuilder::with_capacity(table.schema().clone(), n);
+    for r in order {
+        let row = (0..table.schema().arity())
+            .map(|c| match table.value(r, c) {
+                Value::Int(x) => Cell::Int(x),
+                Value::Float(x) => Cell::Float(x),
+                Value::Bool(x) => Cell::Bool(x),
+                Value::Str(_) => Cell::Str(table.display_value(r, c)),
+                other => unreachable!("stored cells are never {other:?}"),
+            })
+            .collect();
+        b.push_row(row).unwrap();
     }
     b.finish()
 }

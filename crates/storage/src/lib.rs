@@ -15,6 +15,8 @@
 //! * [`selection`] — selection vectors and vectorized predicate kernels
 //!   (the scan primitives of the batched query executor).
 //! * [`table`] — the table itself plus a row-oriented builder.
+//! * [`sumlane`] — per-column certificates of how `SUM` adds the column
+//!   exactly, computed once when a table is built.
 //! * [`catalog`] — a named collection of tables (the query engine's `FROM`
 //!   resolver).
 //! * [`csv`] — a dependency-free CSV loader so real datasets (an actual
@@ -32,6 +34,7 @@ pub mod csv;
 pub mod raw;
 pub mod schema;
 pub mod selection;
+pub mod sumlane;
 pub mod table;
 
 pub use catalog::{Catalog, TableId};
@@ -40,4 +43,5 @@ pub use csv::load_csv;
 pub use raw::RawTable;
 pub use schema::{ColumnDef, ColumnType, Schema};
 pub use selection::{gather_f64, gather_i64_as_f64, SelOp, SelectionVector};
+pub use sumlane::SumLane;
 pub use table::{Cell, Table, TableBuilder};

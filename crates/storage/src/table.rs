@@ -2,6 +2,7 @@
 
 use crate::column::Column;
 use crate::schema::{ColumnType, Schema};
+use crate::sumlane::SumLane;
 use qagview_common::{Interner, QagError, Result, Symbol, Value};
 
 /// A cell value supplied when building a table row.
@@ -60,6 +61,8 @@ pub struct Table {
     columns: Vec<Column>,
     interner: Interner,
     rows: usize,
+    /// Per column: how `SUM` adds it exactly (`None` for non-numeric).
+    sum_lanes: Vec<Option<SumLane>>,
 }
 
 impl Table {
@@ -81,6 +84,12 @@ impl Table {
     /// Column `i`.
     pub fn column(&self, i: usize) -> &Column {
         &self.columns[i]
+    }
+
+    /// How `SUM` adds column `i` exactly, certified when the table was
+    /// built; `None` for a non-numeric column.
+    pub fn sum_lane(&self, i: usize) -> Option<SumLane> {
+        self.sum_lanes[i]
     }
 
     /// The interner shared by all string columns of this table.
@@ -215,13 +224,24 @@ impl TableBuilder {
         self.rows
     }
 
-    /// Finalize into an immutable [`Table`].
+    /// Finalize into an immutable [`Table`], certifying each numeric
+    /// column's sum lane.
     pub fn finish(self) -> Table {
+        let sum_lanes = self
+            .columns
+            .iter()
+            .map(|c| match c {
+                Column::Float(v) => Some(SumLane::of_f64(v)),
+                Column::Int(v) => Some(SumLane::of_i64(v)),
+                Column::Str(_) | Column::Bool(_) => None,
+            })
+            .collect();
         Table {
             schema: self.schema,
             columns: self.columns,
             interner: self.interner,
             rows: self.rows,
+            sum_lanes,
         }
     }
 }
@@ -316,6 +336,20 @@ mod tests {
         let t = b.finish();
         assert!(t.symbol_of("M").is_some());
         assert!(t.symbol_of("X").is_none());
+    }
+
+    #[test]
+    fn finish_certifies_each_numeric_columns_sum_lane() {
+        let mut b = TableBuilder::new(schema());
+        for r in [4.5, 3.25] {
+            b.push_row(vec![Cell::Int(1), "M".into(), Cell::Float(r), true.into()])
+                .unwrap();
+        }
+        let t = b.finish();
+        assert_eq!(t.sum_lane(0), Some(SumLane::Fixed { shift: 0, bits: 4 }));
+        assert_eq!(t.sum_lane(1), None);
+        assert_eq!(t.sum_lane(2), Some(SumLane::Fixed { shift: -2, bits: 7 }));
+        assert_eq!(t.sum_lane(3), None);
     }
 
     #[test]
