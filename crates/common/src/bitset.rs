@@ -235,18 +235,30 @@ impl FixedBitSet {
         assert!(vals.len() >= self.len, "vals shorter than bitset capacity");
         let mut sum = 0.0;
         let mut cnt = 0u32;
-        for (wi, (&a, &b)) in self.words.iter().zip(&other.words).enumerate() {
-            let mut w = a & !b;
-            // Zero words (the common case once coverage is high) cost one
-            // andnot + branch: no popcount, no extraction.
-            if w != 0 {
-                cnt += w.count_ones();
-                while w != 0 {
-                    let i = wi * 64 + w.trailing_zeros() as usize;
-                    sum += vals[i];
-                    w &= w - 1;
+        let mut extract = |wi: usize, mut w: u64| {
+            if w == 0 {
+                return;
+            }
+            cnt += w.count_ones();
+            while w != 0 {
+                sum += vals[wi * 64 + w.trailing_zeros() as usize];
+                w &= w - 1;
+            }
+        };
+        // Zero words (the common case once coverage is high) are skipped
+        // four at a time with one branch: no popcount, no extraction.
+        let (a4, a_rest) = self.words.as_chunks::<4>();
+        let (b4, b_rest) = other.words.as_chunks::<4>();
+        for (bi, (a, b)) in a4.iter().zip(b4).enumerate() {
+            let w = [a[0] & !b[0], a[1] & !b[1], a[2] & !b[2], a[3] & !b[3]];
+            if w[0] | w[1] | w[2] | w[3] != 0 {
+                for (j, &w) in w.iter().enumerate() {
+                    extract(bi * 4 + j, w);
                 }
             }
+        }
+        for (j, (&a, &b)) in a_rest.iter().zip(b_rest).enumerate() {
+            extract(a4.len() * 4 + j, a & !b);
         }
         (sum, cnt)
     }

@@ -7,8 +7,10 @@ use proptest::prelude::*;
 use qagview_common::FixedBitSet;
 
 /// Capacities that stress the word boundary: empty, one-under, exact,
-/// one-over, and a multi-word tail.
-const BOUNDARY_LENS: [usize; 7] = [0, 1, 63, 64, 65, 128, 130];
+/// one-over, and a multi-word tail; then the four-word block boundary of
+/// `difference_count_sum`: exactly one block, a block plus a tail word,
+/// and many blocks with a partial tail.
+const BOUNDARY_LENS: [usize; 10] = [0, 1, 63, 64, 65, 128, 130, 256, 320, 1000];
 
 fn arb_set_pair() -> impl Strategy<Value = (FixedBitSet, FixedBitSet, Vec<f64>)> {
     (0usize..BOUNDARY_LENS.len(), any::<u64>()).prop_map(|(li, seed)| {
@@ -23,11 +25,18 @@ fn arb_set_pair() -> impl Strategy<Value = (FixedBitSet, FixedBitSet, Vec<f64>)>
         let mut a = FixedBitSet::new(len);
         let mut b = FixedBitSet::new(len);
         let mut vals = Vec::with_capacity(len);
+        // Half the cases cover the middle half in `b`, so `a \ b` has
+        // whole zero words and blocks there.
+        let covered = if seed & 2 == 0 {
+            0..0
+        } else {
+            len / 4..3 * len / 4
+        };
         for i in 0..len {
             if next() % 3 == 0 {
                 a.insert(i);
             }
-            if next() % 3 == 0 {
+            if next() % 3 == 0 || covered.contains(&i) {
                 b.insert(i);
             }
             // Dyadic values so float sums compare exactly regardless of

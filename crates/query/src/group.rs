@@ -192,151 +192,196 @@ impl GroupTable {
     }
 }
 
-/// Digits of a [`Superacc`]: base `2^32`, digit `i` weighing
-/// `2^(32·i − 1074)`. 68 digits reach past `2^1088`, the bound on any sum
-/// of up to `2^64` finite floats.
-const SUPERACC_LIMBS: usize = 68;
+/// Adds a [`Superaccs`] absorbs between carry passes. Each add moves a
+/// digit by less than `2^32`, so digits stay far inside `i64`.
+const SUPERACC_CARRY_EVERY: u64 = 1 << 30;
 
-/// Adds a [`Superacc`] absorbs between carry passes. Each add moves a limb
-/// by less than `2^32`, so limbs stay far inside `i64`.
-const SUPERACC_CARRY_EVERY: u32 = 1 << 30;
+/// Most digits a [`Superaccs`] group can need: finite values span bits
+/// `2^-1074 ..= 2^1023`, plus 64 bits of row-count headroom, in base
+/// `2^32`, plus the three digits one add may touch.
+const SUPERACC_MAX_WIDTH: usize = (1023 + 1 + 1074 + 64) / 32 + 3;
 
-/// The general exact lane: the exact sum of any floats, as a fixed-point
-/// superaccumulator over the whole `f64` exponent range with deferred
-/// carries, plus flags for non-finite inputs. Adding is order-free and two
-/// accumulators merge limb by limb. It serves only columns outside the
-/// fixed lane (see [`SumLane`]), so it trades speed for simplicity.
-#[derive(Debug, Clone)]
-struct Superacc {
-    limbs: [i64; SUPERACC_LIMBS],
-    /// Adds (or merged adds) since the last carry pass.
-    pending: u32,
-    nan: bool,
-    pos_inf: bool,
-    neg_inf: bool,
+/// Non-finite input flags of a [`Superaccs`] group.
+const FLAG_NAN: u8 = 1;
+const FLAG_POS_INF: u8 = 2;
+const FLAG_NEG_INF: u8 = 4;
+
+/// `2^e` for any `e` in `[-1074, 1023]`, subnormal powers included.
+fn exp2i(e: i32) -> f64 {
+    if e >= -1022 {
+        pow2(e)
+    } else {
+        f64::from_bits(1 << (e + 1074))
+    }
 }
 
-impl Default for Superacc {
-    fn default() -> Self {
-        Superacc {
-            limbs: [0; SUPERACC_LIMBS],
+/// Propagate carries so every digit but the top one lies in `[0, 2^32)`;
+/// the top digit carries the sign.
+fn carry(digits: &mut [i64]) {
+    for i in 0..digits.len() - 1 {
+        let c = digits[i] >> 32;
+        digits[i] -= c << 32;
+        digits[i + 1] += c;
+    }
+}
+
+/// The general exact lane: per group, the exact sum of any floats as a
+/// fixed-point superaccumulator with deferred carries, plus flags for
+/// non-finite inputs. Adding is order-free and two groups merge digit by
+/// digit. Digit `i` of a group weighs `2^(32·i + low)`, and a group has
+/// only the digits its column's finite range needs (see
+/// [`SumLane::General`]): three for small integers with one NaN, at most
+/// [`SUPERACC_MAX_WIDTH`] for a column spanning the whole `f64` range. It
+/// serves only columns outside the fixed lane, so it trades speed for
+/// simplicity.
+#[derive(Debug)]
+struct Superaccs {
+    low: i32,
+    /// Digits per group.
+    width: usize,
+    /// `width` digits per group, group-major.
+    digits: Vec<i64>,
+    /// Per group: `FLAG_*` bits of the non-finite inputs seen.
+    flags: Vec<u8>,
+    /// Adds (or merged adds) since the last carry pass, over all groups:
+    /// a bound on any one group's.
+    pending: u64,
+}
+
+impl Superaccs {
+    fn new(low: i32, bits: i32) -> Self {
+        // A sum needs `bits` magnitude bits above 2^low; an add touches
+        // three digits from the one holding its lowest set bit, which lies
+        // at most `bits − 1` places above 2^low.
+        let width = bits as usize / 32 + 3;
+        debug_assert!(width <= SUPERACC_MAX_WIDTH);
+        Superaccs {
+            low,
+            width,
+            digits: Vec::new(),
+            flags: Vec::new(),
             pending: 0,
-            nan: false,
-            pos_inf: false,
-            neg_inf: false,
         }
     }
-}
 
-/// Propagate carries so every limb but the top one lies in `[0, 2^32)`;
-/// the top limb carries the sign.
-fn carry(limbs: &mut [i64; SUPERACC_LIMBS]) {
-    for i in 0..SUPERACC_LIMBS - 1 {
-        let c = limbs[i] >> 32;
-        limbs[i] -= c << 32;
-        limbs[i + 1] += c;
-    }
-}
-
-impl Superacc {
-    fn add(&mut self, x: f64) {
-        if !x.is_finite() {
-            if x.is_nan() {
-                self.nan = true;
-            } else if x > 0.0 {
-                self.pos_inf = true;
-            } else {
-                self.neg_inf = true;
-            }
-            return;
-        }
-        let bits = x.to_bits();
-        let field = ((bits >> 52) & 0x7ff) as u32;
-        let frac = bits & ((1 << 52) - 1);
-        // x = ±m · 2^(p − 1074); subnormals (and zeros) have p = 0.
-        let (m, p) = if field == 0 {
-            (frac, 0)
-        } else {
-            (frac | (1 << 52), field - 1)
-        };
-        let v = u128::from(m) << (p % 32);
-        let i = (p / 32) as usize;
-        for (j, digit) in [v & 0xffff_ffff, (v >> 32) & 0xffff_ffff, v >> 64]
-            .into_iter()
-            .enumerate()
-        {
-            let digit = digit as i64;
-            if x < 0.0 {
-                self.limbs[i + j] -= digit;
-            } else {
-                self.limbs[i + j] += digit;
-            }
-        }
-        self.note_adds(1);
+    fn grow(&mut self, num_groups: usize) {
+        grow(&mut self.digits, num_groups * self.width, 0);
+        grow(&mut self.flags, num_groups, 0);
     }
 
-    fn merge(&mut self, other: &Superacc) {
-        for (a, b) in self.limbs.iter_mut().zip(&other.limbs) {
-            *a += b;
-        }
-        self.nan |= other.nan;
-        self.pos_inf |= other.pos_inf;
-        self.neg_inf |= other.neg_inf;
-        self.note_adds(other.pending);
-    }
-
-    fn note_adds(&mut self, adds: u32) {
-        self.pending += adds;
-        if self.pending >= SUPERACC_CARRY_EVERY {
-            carry(&mut self.limbs);
-            // Carried limbs are worth at most one add each.
+    /// Count `adds` more adds, first carrying every group if they could
+    /// push a digit out of range.
+    fn reserve_adds(&mut self, adds: u64) {
+        if self.pending + adds > SUPERACC_CARRY_EVERY {
+            self.digits.chunks_exact_mut(self.width).for_each(carry);
+            // Carried digits are worth at most one add each.
             self.pending = 1;
         }
+        self.pending += adds;
     }
 
-    /// The exact sum rounded once to the nearest `f64` (ties to even;
-    /// `±∞` past the largest float; an exact zero is `+0.0`). NaN if any
-    /// input was NaN or both infinities occurred.
-    fn finish(&self) -> f64 {
-        if self.nan || (self.pos_inf && self.neg_inf) {
-            return f64::NAN;
+    fn add(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
+        self.grow(num_groups);
+        let width = self.width;
+        for (gids, vals) in gids.chunks(1 << 20).zip(vals.chunks(1 << 20)) {
+            self.reserve_adds(gids.len() as u64);
+            for (&g, &x) in gids.iter().zip(vals) {
+                let g = g as usize;
+                let bits = x.to_bits();
+                let field = ((bits >> 52) & 0x7ff) as i32;
+                let frac = bits & ((1 << 52) - 1);
+                if field == 0x7ff {
+                    self.flags[g] |= if frac != 0 {
+                        FLAG_NAN
+                    } else if x > 0.0 {
+                        FLAG_POS_INF
+                    } else {
+                        FLAG_NEG_INF
+                    };
+                    continue;
+                }
+                // x = ±m · 2^e, then m made odd; subnormals have no
+                // implicit bit and e = -1074.
+                let m = frac | (u64::from(field != 0) << 52);
+                if m == 0 {
+                    continue;
+                }
+                let tz = m.trailing_zeros();
+                let offset = (field.max(1) - 1075 + tz as i32 - self.low) as u32;
+                let v = u128::from(m >> tz) << (offset % 32);
+                let at = g * width + (offset / 32) as usize;
+                let d = &mut self.digits[at..at + 3];
+                for (j, digit) in d.iter_mut().enumerate() {
+                    let part = ((v >> (32 * j)) & 0xffff_ffff) as i64;
+                    if x < 0.0 {
+                        *digit -= part;
+                    } else {
+                        *digit += part;
+                    }
+                }
+            }
         }
-        if self.pos_inf {
-            return f64::INFINITY;
+    }
+
+    /// Add partition sums `part` (local group `i` is group `remap[i]`).
+    fn merge(&mut self, part: &Superaccs, remap: &[u32], num_groups: usize) {
+        debug_assert_eq!((self.low, self.width), (part.low, part.width));
+        self.grow(num_groups);
+        self.reserve_adds(part.pending);
+        let width = self.width;
+        for ((&g, local), &flags) in remap
+            .iter()
+            .zip(part.digits.chunks_exact(width))
+            .zip(&part.flags)
+        {
+            let g = g as usize;
+            for (a, b) in self.digits[g * width..(g + 1) * width]
+                .iter_mut()
+                .zip(local)
+            {
+                *a += b;
+            }
+            self.flags[g] |= flags;
         }
-        if self.neg_inf {
-            return f64::NEG_INFINITY;
+    }
+
+    /// Group `gid`'s exact sum rounded once to the nearest `f64` (ties to
+    /// even; `±∞` past the largest float; an exact zero is `+0.0`). NaN if
+    /// any input was NaN or both infinities occurred.
+    fn finish(&self, gid: usize) -> f64 {
+        match self.flags[gid] {
+            0 => {}
+            FLAG_POS_INF => return f64::INFINITY,
+            FLAG_NEG_INF => return f64::NEG_INFINITY,
+            _ => return f64::NAN,
         }
-        let mut limbs = self.limbs;
-        carry(&mut limbs);
-        let neg = limbs[SUPERACC_LIMBS - 1] < 0;
+        let mut buf = [0i64; SUPERACC_MAX_WIDTH];
+        let digits = &mut buf[..self.width];
+        digits.copy_from_slice(&self.digits[gid * self.width..(gid + 1) * self.width]);
+        carry(digits);
+        let neg = digits[self.width - 1] < 0;
         if neg {
-            limbs.iter_mut().for_each(|l| *l = -*l);
-            carry(&mut limbs);
+            digits.iter_mut().for_each(|l| *l = -*l);
+            carry(digits);
         }
-        let Some(top) = limbs.iter().rposition(|&l| l != 0) else {
+        let Some(top) = digits.iter().rposition(|&l| l != 0) else {
             return 0.0;
         };
         // The top three digits hold at least 65 significant bits; every
         // lower digit folds into one sticky bit below the rounding point,
         // so the u128 → f64 conversion is the one rounding.
         let base = top.saturating_sub(2);
-        let mut m = limbs[base..=top]
+        let mut m = digits[base..=top]
             .iter()
             .rev()
             .fold(0u128, |m, &l| (m << 32) | l as u128);
-        if limbs[..base].iter().any(|&l| l != 0) {
+        if digits[..base].iter().any(|&l| l != 0) {
             m |= 1;
         }
-        // Exact scaling: a subnormal result is below 2^52 units of 2^-1074,
-        // so its m converted without rounding.
-        let exp = 32 * base as i32 - 1074;
-        let scale = if exp >= -1022 {
-            pow2(exp)
-        } else {
-            f64::from_bits(1 << (exp + 1074))
-        };
-        let mag = m as f64 * scale;
+        // Exact scaling: a subnormal result is below 2^52 units of
+        // 2^low ≥ 2^-1074, so it fits the bottom two digits and its m
+        // converted without rounding.
+        let mag = m as f64 * exp2i(32 * base as i32 + self.low);
         if neg {
             -mag
         } else {
@@ -348,27 +393,20 @@ impl Superacc {
 /// Per-group exact sums of one aggregate input. `SUM`/`AVG` are the
 /// correctly rounded exact sum, so the partial sums of a group's rows from
 /// any partition of them merge, in any order, into the same bits.
-///
-/// A [`SumLane::Fixed`] column sums integers in units of `unit = 2^shift`
-/// (`inv_unit = 2^-shift`): in `i64` when the certificate's `bits` allow,
-/// which keeps the narrow conversion on the hot path, else in `i128`.
 #[derive(Debug)]
 enum ExactSum {
-    Narrow {
-        inv_unit: f64,
-        unit: f64,
-        sums: Vec<i64>,
-    },
-    Wide {
+    /// A [`SumLane::Fixed`] column: `i128` sums in units of
+    /// `unit = 2^shift` (`inv_unit = 2^-shift`).
+    Fixed {
         inv_unit: f64,
         unit: f64,
         sums: Vec<i128>,
     },
-    /// The general lane: one superaccumulator per group.
-    General(Vec<Superacc>),
+    /// The general lane.
+    General(Superaccs),
 }
 
-/// Grow per-group state to `n` groups, filling with `empty`.
+/// Grow per-group state to `n` entries, filling with `empty`.
 fn grow<T: Clone>(v: &mut Vec<T>, n: usize, empty: T) {
     if v.len() < n {
         v.resize(n, empty);
@@ -391,58 +429,35 @@ fn add_remapped<T: Copy + Default + std::ops::AddAssign>(
 impl ExactSum {
     fn new(lane: SumLane) -> Self {
         match lane {
-            SumLane::Fixed { shift, bits } if bits <= 63 => ExactSum::Narrow {
+            SumLane::Fixed { shift } => ExactSum::Fixed {
                 inv_unit: pow2(-shift),
                 unit: pow2(shift),
                 sums: Vec::new(),
             },
-            SumLane::Fixed { shift, .. } => ExactSum::Wide {
-                inv_unit: pow2(-shift),
-                unit: pow2(shift),
-                sums: Vec::new(),
-            },
-            SumLane::General => ExactSum::General(Vec::new()),
+            SumLane::General { low, bits } => ExactSum::General(Superaccs::new(low, bits)),
         }
     }
 
     fn add(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
         match self {
-            ExactSum::Narrow { inv_unit, sums, .. } => {
-                grow(sums, num_groups, 0);
-                // Exact: the scaled value is an integer below 2^63.
-                for (&g, &x) in gids.iter().zip(vals) {
-                    sums[g as usize] += (x * *inv_unit) as i64;
-                }
-            }
-            ExactSum::Wide { inv_unit, sums, .. } => {
+            ExactSum::Fixed { inv_unit, sums, .. } => {
                 grow(sums, num_groups, 0);
                 for (&g, &x) in gids.iter().zip(vals) {
                     sums[g as usize] += to_fixed(x, *inv_unit);
                 }
             }
-            ExactSum::General(accs) => {
-                grow(accs, num_groups, Superacc::default());
-                for (&g, &x) in gids.iter().zip(vals) {
-                    accs[g as usize].add(x);
-                }
-            }
+            ExactSum::General(accs) => accs.add(gids, vals, num_groups),
         }
     }
 
     /// Add partition sums `part` (local group `i` is group `remap[i]`).
     fn merge(&mut self, part: &ExactSum, remap: &[u32], num_groups: usize) {
         match (self, part) {
-            (ExactSum::Narrow { sums, .. }, ExactSum::Narrow { sums: local, .. }) => {
-                add_remapped(sums, local, remap, num_groups)
-            }
-            (ExactSum::Wide { sums, .. }, ExactSum::Wide { sums: local, .. }) => {
+            (ExactSum::Fixed { sums, .. }, ExactSum::Fixed { sums: local, .. }) => {
                 add_remapped(sums, local, remap, num_groups)
             }
             (ExactSum::General(accs), ExactSum::General(local)) => {
-                grow(accs, num_groups, Superacc::default());
-                for (&g, acc) in remap.iter().zip(local) {
-                    accs[g as usize].merge(acc);
-                }
+                accs.merge(local, remap, num_groups)
             }
             _ => unreachable!("partitions of one column share its sum lane"),
         }
@@ -450,9 +465,8 @@ impl ExactSum {
 
     fn finish(&self, gid: usize) -> f64 {
         match self {
-            ExactSum::Narrow { unit, sums, .. } => from_fixed(i128::from(sums[gid]), *unit),
-            ExactSum::Wide { unit, sums, .. } => from_fixed(sums[gid], *unit),
-            ExactSum::General(accs) => accs[gid].finish(),
+            ExactSum::Fixed { unit, sums, .. } => from_fixed(sums[gid], *unit),
+            ExactSum::General(accs) => accs.finish(gid),
         }
     }
 }
@@ -474,56 +488,62 @@ fn from_total_key(k: u64) -> f64 {
     f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
 }
 
-/// `MIN` or `MAX` state: per group, the `totalOrder` key of the extreme
-/// non-NaN input so far, or `none` before one is seen. `none` lies beyond
-/// every non-NaN key on the losing side of `pick`, so it never wins.
+/// Key of "no non-NaN input yet": above every non-NaN key (and their
+/// complements), so `u64::min` never picks it over a real input.
+const NO_EXTREME: u64 = u64::MAX;
+
+/// `MIN` or `MAX` state: per group, the least key of its non-NaN inputs
+/// so far, or [`NO_EXTREME`] before one is seen. A key is the
+/// `totalOrder` key XOR `flip`: `0` for `MIN`, all ones for `MAX`, whose
+/// complemented keys make the greatest input the least key.
 #[derive(Debug)]
 struct Extremes {
     keys: Vec<u64>,
-    none: u64,
-    pick: fn(u64, u64) -> u64,
+    flip: u64,
 }
 
 impl Extremes {
     fn min() -> Self {
         Extremes {
             keys: Vec::new(),
-            none: u64::MAX,
-            pick: u64::min,
+            flip: 0,
         }
     }
 
     fn max() -> Self {
         Extremes {
             keys: Vec::new(),
-            none: 0,
-            pick: u64::max,
+            flip: u64::MAX,
         }
     }
 
     fn add(&mut self, gids: &[u32], vals: &[f64], num_groups: usize) {
-        grow(&mut self.keys, num_groups, self.none);
+        grow(&mut self.keys, num_groups, NO_EXTREME);
         for (&g, &x) in gids.iter().zip(vals) {
-            let k = if x.is_nan() { self.none } else { total_key(x) };
-            self.keys[g as usize] = (self.pick)(self.keys[g as usize], k);
+            let k = if x.is_nan() {
+                NO_EXTREME
+            } else {
+                total_key(x) ^ self.flip
+            };
+            let slot = &mut self.keys[g as usize];
+            *slot = (*slot).min(k);
         }
     }
 
     /// Merge partition extremes `part` (local group `i` is group `remap[i]`).
     fn merge(&mut self, part: &Extremes, remap: &[u32], num_groups: usize) {
-        grow(&mut self.keys, num_groups, self.none);
+        grow(&mut self.keys, num_groups, NO_EXTREME);
         for (&g, &k) in remap.iter().zip(&part.keys) {
-            self.keys[g as usize] = (self.pick)(self.keys[g as usize], k);
+            let slot = &mut self.keys[g as usize];
+            *slot = (*slot).min(k);
         }
     }
 
     /// NaN when the group had no non-NaN input.
     fn finish(&self, gid: usize) -> f64 {
-        let key = self.keys[gid];
-        if key == self.none {
-            f64::NAN
-        } else {
-            from_total_key(key)
+        match self.keys[gid] {
+            NO_EXTREME => f64::NAN,
+            key => from_total_key(key ^ self.flip),
         }
     }
 }
@@ -1131,18 +1151,27 @@ mod tests {
         AggFunc::Max,
     ];
 
+    /// A general lane spanning `vals`' finite range (one NaN appended
+    /// forces the general lane and adds a row of headroom).
+    fn general_lane(vals: &[f64]) -> SumLane {
+        let lane = SumLane::of_f64(&[vals, &[f64::NAN]].concat());
+        assert!(matches!(lane, SumLane::General { .. }));
+        lane
+    }
+
+    /// The general lane over the whole `f64` range and 2^64 rows.
+    const FULL_RANGE: SumLane = SumLane::General {
+        low: -1074,
+        bits: 1023 + 1 + 1074 + 64,
+    };
+
     #[test]
     fn agg_columns_match_scalar_semantics() {
         let gids = [0u32, 1, 0];
         let vals = [2.0, 10.0, 4.0];
-        for lane in [
-            SumLane::Fixed { shift: 1, bits: 6 },
-            SumLane::Fixed {
-                shift: 1,
-                bits: 100,
-            },
-            SumLane::General,
-        ] {
+        let fixed = SumLane::of_f64(&vals);
+        assert_eq!(fixed, SumLane::Fixed { shift: 1 });
+        for lane in [fixed, general_lane(&vals), FULL_RANGE] {
             let mut acc = accumulators(&ALL, lane);
             acc.add(&gids, 2, |_| &vals);
             let finished = |g: usize| -> Vec<f64> { (0..5).map(|i| acc.finish(i, g)).collect() };
@@ -1162,13 +1191,9 @@ mod tests {
                 .map(|(i, g)| acc.finish(i, g).to_bits())
                 .collect()
         };
-        for lane in [
-            SumLane::Fixed {
-                shift: -60,
-                bits: 100,
-            },
-            SumLane::General,
-        ] {
+        let fixed = SumLane::of_f64(&vals);
+        assert!(matches!(fixed, SumLane::Fixed { .. }), "{fixed:?}");
+        for lane in [fixed, general_lane(&vals), FULL_RANGE] {
             let mut whole = accumulators(&ALL, lane);
             whole.add(&[0, 1, 0, 1, 0, 1], 2, |_| &vals);
             let mut a = accumulators(&ALL, lane);
@@ -1189,11 +1214,17 @@ mod tests {
         }
     }
 
-    /// Sum `vals` through the general lane.
+    /// Sum `vals` as one group through the general lane, sized to their
+    /// range; the full-range accumulator must give the same bits.
     fn general_sum(vals: &[f64]) -> f64 {
-        let mut s = Superacc::default();
-        vals.iter().for_each(|&x| s.add(x));
-        s.finish()
+        let sum = |lane: SumLane| {
+            let mut acc = accumulators(&[AggFunc::Sum], lane);
+            acc.add(&vec![0; vals.len()], 1, |_| vals);
+            acc.finish(0, 0)
+        };
+        let sized = sum(general_lane(vals));
+        assert_eq!(sized.to_bits(), sum(FULL_RANGE).to_bits(), "{vals:?}");
+        sized
     }
 
     #[test]
@@ -1221,6 +1252,14 @@ mod tests {
             general_sum(&[1.0, pow2(-53), f64::from_bits(1)]),
             1.0 + pow2(-52)
         );
+        // The same ties with a range-sized accumulator whose digits do not
+        // start at 2^-1074: the sticky bit sits below digit 0 of the top
+        // three.
+        assert_eq!(general_sum(&[pow2(120), pow2(67)]), pow2(120));
+        assert_eq!(
+            general_sum(&[pow2(120), pow2(67), 1.0]),
+            pow2(120) + pow2(68)
+        );
     }
 
     #[test]
@@ -1237,12 +1276,19 @@ mod tests {
         // Cancellation from the top of the range down to one subnormal.
         assert_eq!(general_sum(&[1e308, tiny, -1e308]), tiny);
         assert_eq!(general_sum(&[-tiny, 1e-300, -1e-300]), -tiny);
+        // A range starting above 2^-1074 that cancels into the subnormals.
+        let sub = f64::from_bits(1 << 40);
+        assert_eq!(
+            general_sum(&[f64::MIN_POSITIVE, sub, -f64::MIN_POSITIVE]),
+            sub
+        );
     }
 
     #[test]
     fn general_lane_specials_and_zero_signs() {
         assert!(general_sum(&[1.0, f64::NAN]).is_nan());
         assert!(general_sum(&[f64::INFINITY, f64::NEG_INFINITY]).is_nan());
+        assert!(general_sum(&[f64::NAN, f64::INFINITY]).is_nan());
         assert_eq!(general_sum(&[f64::INFINITY, -1e308]), f64::INFINITY);
         assert_eq!(general_sum(&[f64::NEG_INFINITY, 5.0]), f64::NEG_INFINITY);
         // An exact zero is +0.0, whatever the signs of the zeros summed.
@@ -1255,18 +1301,45 @@ mod tests {
     #[test]
     fn general_lane_survives_many_carry_passes() {
         // Force carries often by merging accumulators near the bound.
-        let mut s = Superacc {
-            pending: SUPERACC_CARRY_EVERY - 2,
-            ..Default::default()
+        let vals = [-0.75, -0.75, -0.75, -0.75, -0.75, 4.0];
+        let SumLane::General { low, bits } = general_lane(&vals) else {
+            unreachable!()
         };
-        for _ in 0..5 {
-            s.add(-0.75);
+        let mut s = Superaccs::new(low, bits);
+        s.pending = SUPERACC_CARRY_EVERY - 2;
+        for &x in &vals[..5] {
+            s.add(&[0], &[x], 1);
         }
-        let mut t = Superacc::default();
-        t.add(4.0);
+        let mut t = Superaccs::new(low, bits);
+        t.add(&[0], &[4.0], 1);
         t.pending = SUPERACC_CARRY_EVERY - 1;
-        s.merge(&t);
-        assert_eq!(s.finish(), 0.25);
+        s.merge(&t, &[0], 1);
+        assert_eq!(s.finish(0), 0.25);
+    }
+
+    #[test]
+    fn general_lane_state_is_sized_by_the_columns_range() {
+        // Many rows of ratings 1..5 with one NaN: 3 value bits plus
+        // bit_length(rows) fit one 32-bit digit, so a group costs three
+        // digits (24 bytes) and a flag byte, not a full-range accumulator.
+        let mut vals: Vec<f64> = (0..1_000_000).map(|i| (i % 5 + 1) as f64).collect();
+        vals[7] = f64::NAN;
+        let SumLane::General { low, bits } = SumLane::of_f64(&vals) else {
+            panic!("a NaN forces the general lane")
+        };
+        assert_eq!(Superaccs::new(low, bits).width, 3);
+        let SumLane::General { low, bits } = FULL_RANGE else {
+            unreachable!()
+        };
+        assert_eq!(Superaccs::new(low, bits).width, SUPERACC_MAX_WIDTH);
+        // 200k groups of five rows each: per-group sums stay exact.
+        let gids: Vec<u32> = (0..vals.len() as u32).map(|i| i / 5).collect();
+        let mut acc = accumulators(&[AggFunc::Sum], SumLane::of_f64(&vals));
+        acc.add(&gids, 200_000, |_| &vals);
+        assert!(acc.finish(0, 1).is_nan(), "group 1 holds the NaN");
+        for g in [0, 2, 199_999] {
+            assert_eq!(acc.finish(0, g), 15.0);
+        }
     }
 
     #[test]
@@ -1280,19 +1353,19 @@ mod tests {
             [f64::NAN, -0.0, 0.0],
         ];
         for zeros in orders {
-            let mut acc = accumulators(&[AggFunc::Min, AggFunc::Max], SumLane::General);
+            let mut acc = accumulators(&[AggFunc::Min, AggFunc::Max], FULL_RANGE);
             acc.add(&[0, 0, 0], 1, |_| &zeros);
             assert_eq!(acc.finish(0, 0).to_bits(), (-0.0f64).to_bits(), "{zeros:?}");
             assert_eq!(acc.finish(1, 0).to_bits(), 0.0f64.to_bits(), "{zeros:?}");
         }
-        let mut acc = accumulators(&[AggFunc::Min, AggFunc::Max], SumLane::General);
+        let mut acc = accumulators(&[AggFunc::Min, AggFunc::Max], FULL_RANGE);
         acc.add(&[0, 0, 0, 1, 1], 2, |_| {
             &[f64::NAN, 3.0, -2.0, f64::NAN, f64::NAN]
         });
         assert_eq!((acc.finish(0, 0), acc.finish(1, 0)), (-2.0, 3.0));
         // A group of only NaNs has no extreme: NaN.
         assert!(acc.finish(0, 1).is_nan() && acc.finish(1, 1).is_nan());
-        let mut inf = accumulators(&[AggFunc::Min, AggFunc::Max], SumLane::General);
+        let mut inf = accumulators(&[AggFunc::Min, AggFunc::Max], FULL_RANGE);
         inf.add(&[0, 0], 1, |_| &[f64::INFINITY, f64::NEG_INFINITY]);
         assert_eq!(
             (inf.finish(0, 0), inf.finish(1, 0)),

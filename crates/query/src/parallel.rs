@@ -373,12 +373,48 @@ mod tests {
                 let c = table.schema().index_of(name).unwrap();
                 table.sum_lane(c).unwrap()
             };
-            assert_eq!(lane("z"), qagview_storage::SumLane::General);
+            assert!(matches!(
+                lane("z"),
+                qagview_storage::SumLane::General { .. }
+            ));
             assert!(matches!(lane("c"), qagview_storage::SumLane::Fixed { .. }));
             for sql in ADVERSARIAL_SQL {
                 assert_partition_invariant(sql, &table);
                 assert_permutation_invariant(sql, &table);
             }
+        }
+    }
+
+    #[test]
+    fn many_groups_over_a_column_with_one_nan() {
+        // Ratings-like values with a single NaN take the general lane,
+        // sized to the column's small range; thousands of groups (two to
+        // four rows each) must still agree across engines and orders.
+        use qagview_storage::{Cell, ColumnType, Schema, SumLane, TableBuilder};
+        let schema =
+            Schema::from_pairs(&[("g", ColumnType::Int), ("x", ColumnType::Float)]).unwrap();
+        let rows = 12_000;
+        let mut b = TableBuilder::with_capacity(schema, rows);
+        for i in 0..rows {
+            let x = if i == 4_321 {
+                f64::NAN
+            } else {
+                (i * 7 % 5 + 1) as f64 / 2.0
+            };
+            let g = (i * 2_654_435_761 % 4_001) as i64;
+            b.push_row(vec![Cell::Int(g), Cell::Float(x)]).unwrap();
+        }
+        let table = b.finish();
+        assert_eq!(
+            table.sum_lane(1),
+            Some(SumLane::General { low: -1, bits: 17 })
+        );
+        for sql in [
+            "SELECT g, SUM(x) AS val FROM t GROUP BY g ORDER BY val DESC",
+            "SELECT g, AVG(x) AS val FROM t GROUP BY g HAVING count(*) > 2 ORDER BY val ASC",
+        ] {
+            assert_partition_invariant(sql, &table);
+            assert_permutation_invariant(sql, &table);
         }
     }
 

@@ -8,8 +8,9 @@
 //! fits an `i128`. Such a column takes the [`SumLane::Fixed`] lane, where
 //! an exact sum is a run of integer adds. Every other column — non-finite
 //! values, or an exponent range too wide for 127 bits — takes the
-//! [`SumLane::General`] lane. The certificate is computed once, when the
-//! table is built, and never per scan.
+//! [`SumLane::General`] lane. A float column's certificate is computed
+//! once, when the table is built, and never per scan; an integer column
+//! always takes [`SumLane::INT`] without a pass over its values.
 
 /// Magnitude bits (sign excluded) an `i128` fixed-point sum may use.
 const FIXED_LANE_BITS: i32 = 127;
@@ -24,20 +25,24 @@ const MAX_FIXED_SHIFT: i32 = 1022;
 pub enum SumLane {
     /// Every value is a finite multiple of `2^shift`, and any sum of the
     /// column's values, counted in units of `2^shift`, fits an `i128`:
-    /// `bits = max_exp + 1 − shift + bit_length(rows) ≤ 127`, where
-    /// `max_exp` is the largest value's binary exponent.
+    /// `max_exp + 1 − shift + bit_length(rows) ≤ 127`, where `max_exp` is
+    /// the largest value's binary exponent.
     Fixed {
         /// The exponent of the lane's unit, `2^shift`.
         shift: i32,
-        /// Magnitude bits any sum of the column's values may need, in
-        /// units of `2^shift`; at most 63 means an `i64` suffices.
-        bits: i32,
     },
     /// The general exact lane (a per-group superaccumulator plus NaN and
     /// infinity flags): non-finite values, units below `2^-1022` (or a
     /// column of only `±2^1023` and zeros), or an exponent range too wide
-    /// for the fixed lane.
-    General,
+    /// for the fixed lane. The accumulator spans only the column's finite
+    /// range, so a column of small integers with one NaN stays cheap.
+    General {
+        /// The exponent of the lowest set bit of any finite value.
+        low: i32,
+        /// Magnitude bits any sum of the column's finite values may need,
+        /// in units of `2^low`: `max_exp + 1 − low + bit_length(rows)`.
+        bits: i32,
+    },
 }
 
 /// Number of bits needed to write `n` (0 for 0).
@@ -46,6 +51,11 @@ fn bit_length(n: usize) -> i32 {
 }
 
 impl SumLane {
+    /// The lane of an integer column: aggregates read integers as `f64`,
+    /// and `|x as f64| ≤ 2^63`, so any sum of fewer than `2^63` of them,
+    /// in units of 1, fits an `i128` without looking at the values.
+    pub const INT: SumLane = SumLane::Fixed { shift: 0 };
+
     /// The certificate of a float column of `values`.
     pub fn of_f64(values: &[f64]) -> SumLane {
         let mut low = i32::MAX;
@@ -54,7 +64,10 @@ impl SumLane {
         for &x in values {
             let bits = x.to_bits();
             let field = (bits >> 52) & 0x7ff;
-            finite &= field != 0x7ff;
+            if field == 0x7ff {
+                finite = false;
+                continue;
+            }
             // x = ±m · 2^e; subnormals have no implicit bit and e = -1074.
             let m = (bits & ((1 << 52) - 1)) | (u64::from(field != 0) << 52);
             let e = field.max(1) as i32 - 1075;
@@ -63,37 +76,19 @@ impl SumLane {
                 high = high.max(e + 63 - m.leading_zeros() as i32);
             }
         }
-        if !finite {
-            return SumLane::General;
-        }
-        Self::fixed(low, high, values.len())
-    }
-
-    /// The certificate of an integer column, in units of 1. Aggregates
-    /// read integers as `f64`, and `x as f64` is at most `2^bit_length(|x|)`
-    /// in magnitude, so the highest set bit of any converted value is at
-    /// most `bit_length(max |x|)` — the bit length of the OR of all `|x|`.
-    /// Every integer column of fewer than `2^61` rows takes the fixed lane.
-    pub fn of_i64(values: &[i64]) -> SumLane {
-        let or = values.iter().fold(0u64, |acc, x| acc | x.unsigned_abs());
-        if or == 0 {
-            return SumLane::Fixed { shift: 0, bits: 0 };
-        }
-        Self::fixed(0, (u64::BITS - or.leading_zeros()) as i32, values.len())
-    }
-
-    /// The fixed lane with unit `2^low` for a column of `rows` values whose
-    /// set bits lie in `[2^low, 2^high]`, if it fits, else the general
-    /// lane. `low == i32::MAX` means every value is zero.
-    fn fixed(low: i32, high: i32, rows: usize) -> SumLane {
         if low == i32::MAX {
-            return SumLane::Fixed { shift: 0, bits: 0 };
+            // No finite nonzero value: every finite sum is zero.
+            return if finite {
+                SumLane::Fixed { shift: 0 }
+            } else {
+                SumLane::General { low: 0, bits: 0 }
+            };
         }
-        let bits = high + 1 - low + bit_length(rows);
-        if low.abs() <= MAX_FIXED_SHIFT && bits <= FIXED_LANE_BITS {
-            SumLane::Fixed { shift: low, bits }
+        let bits = high + 1 - low + bit_length(values.len());
+        if finite && low.abs() <= MAX_FIXED_SHIFT && bits <= FIXED_LANE_BITS {
+            SumLane::Fixed { shift: low }
         } else {
-            SumLane::General
+            SumLane::General { low, bits }
         }
     }
 }
@@ -107,12 +102,16 @@ pub fn pow2(e: i32) -> f64 {
 
 /// `x` in units of `2^shift`, given `inv_unit = 2^-shift`, for a value of
 /// a [`SumLane::Fixed`] column. Exact: the scaled value is an integer
-/// below `2^126` in magnitude, which splits exactly into a high and a low
-/// part of at most 63 bits each.
+/// below `2^126` in magnitude. One below `2^63` converts directly (the
+/// common case: small integers in units of 1); a larger one splits exactly
+/// into a high and a low part of at most 63 bits each.
 #[inline]
 pub fn to_fixed(x: f64, inv_unit: f64) -> i128 {
     const TWO_63: f64 = 9_223_372_036_854_775_808.0;
     let y = x * inv_unit;
+    if y.abs() < TWO_63 {
+        return i128::from(y as i64);
+    }
     // Truncation toward zero keeps both parts' signs equal to y's, and the
     // remainder holds only y's low significant bits, so it is exact.
     let hi = (y * (1.0 / TWO_63)) as i64;
@@ -133,61 +132,55 @@ pub fn from_fixed(sum: i128, unit: f64) -> f64 {
 mod tests {
     use super::*;
 
+    fn fixed(shift: i32) -> SumLane {
+        SumLane::Fixed { shift }
+    }
+
     #[test]
     fn small_integers_take_the_fixed_lane_in_units_of_one() {
-        // Ratings 1..5: 3 value bits plus bit_length(4) = 3 bits of rows.
-        assert_eq!(
-            SumLane::of_f64(&[1.0, 5.0, 3.0, 4.0]),
-            SumLane::Fixed { shift: 0, bits: 6 }
-        );
-        assert_eq!(
-            SumLane::of_f64(&[0.5, 2.25]),
-            SumLane::Fixed { shift: -2, bits: 6 }
-        );
-        assert_eq!(
-            SumLane::of_f64(&[1024.0, -4096.0]),
-            SumLane::Fixed { shift: 10, bits: 5 }
-        );
-        // |i64::MIN| = 2^63 has bit_length 64, taken as the high bit (a
-        // conversion may round up to 2^bit_length), plus bit_length(3) = 2
-        // bits of rows.
-        assert_eq!(
-            SumLane::of_i64(&[i64::MIN, i64::MAX, 7]),
-            SumLane::Fixed { shift: 0, bits: 67 }
-        );
-        assert_eq!(
-            SumLane::of_i64(&[-3, 5]),
-            SumLane::Fixed { shift: 0, bits: 6 }
-        );
+        assert_eq!(SumLane::of_f64(&[1.0, 5.0, 3.0, 4.0]), fixed(0));
+        assert_eq!(SumLane::of_f64(&[0.5, 2.25]), fixed(-2));
+        assert_eq!(SumLane::of_f64(&[1024.0, -4096.0]), fixed(10));
     }
 
     #[test]
     fn all_zero_and_empty_columns_take_the_fixed_lane() {
-        let zero = SumLane::Fixed { shift: 0, bits: 0 };
-        assert_eq!(SumLane::of_f64(&[0.0, -0.0, 0.0]), zero);
-        assert_eq!(SumLane::of_f64(&[]), zero);
-        assert_eq!(SumLane::of_i64(&[0, 0]), zero);
+        assert_eq!(SumLane::of_f64(&[0.0, -0.0, 0.0]), fixed(0));
+        assert_eq!(SumLane::of_f64(&[]), fixed(0));
     }
 
     #[test]
     fn a_single_nan_or_infinity_forces_the_general_lane() {
-        assert_eq!(SumLane::of_f64(&[1.0, f64::NAN, 2.0]), SumLane::General);
-        assert_eq!(SumLane::of_f64(&[f64::INFINITY]), SumLane::General);
-        assert_eq!(SumLane::of_f64(&[1.0, f64::NEG_INFINITY]), SumLane::General);
+        // The general lane still spans only the finite values' range:
+        // ratings 1..5 (bits 2^0..2^2) over 4 rows need 3 + 3 bits.
+        let small = SumLane::General { low: 0, bits: 6 };
+        assert_eq!(SumLane::of_f64(&[1.0, f64::NAN, 5.0, 2.0]), small);
+        assert_eq!(SumLane::of_f64(&[f64::INFINITY, 1.0, 5.0, 3.0]), small);
+        assert_eq!(
+            SumLane::of_f64(&[0.5, f64::NEG_INFINITY]),
+            SumLane::General { low: -1, bits: 3 }
+        );
+        // No finite nonzero value: the finite part of any sum is zero.
+        let empty = SumLane::General { low: 0, bits: 0 };
+        assert_eq!(SumLane::of_f64(&[f64::NAN]), empty);
+        assert_eq!(SumLane::of_f64(&[0.0, f64::INFINITY]), empty);
     }
 
     #[test]
     fn subnormal_only_columns_take_the_general_lane() {
         // The unit 2^-1074 lies below 2^-MAX_FIXED_SHIFT.
         let tiny = f64::from_bits(1);
-        assert_eq!(SumLane::of_f64(&[tiny, 3.0 * tiny]), SumLane::General);
+        assert_eq!(
+            SumLane::of_f64(&[tiny, 3.0 * tiny]),
+            SumLane::General {
+                low: -1074,
+                bits: 4
+            }
+        );
         // The smallest normal is exactly the lowest admitted unit.
         assert_eq!(
             SumLane::of_f64(&[f64::MIN_POSITIVE, 2.0 * f64::MIN_POSITIVE]),
-            SumLane::Fixed {
-                shift: -MAX_FIXED_SHIFT,
-                bits: 4
-            }
+            fixed(-MAX_FIXED_SHIFT)
         );
     }
 
@@ -197,14 +190,11 @@ mod tests {
         // cannot be scaled into units of 2^1023.
         assert_eq!(
             SumLane::of_f64(&[pow2(1023), -pow2(1023)]),
-            SumLane::General
+            SumLane::General { low: 1023, bits: 3 }
         );
         assert_eq!(
             SumLane::of_f64(&[pow2(1022), pow2(1023)]),
-            SumLane::Fixed {
-                shift: MAX_FIXED_SHIFT,
-                bits: 4
-            }
+            fixed(MAX_FIXED_SHIFT)
         );
     }
 
@@ -212,32 +202,44 @@ mod tests {
     fn the_i128_limit_is_exact_to_the_bit() {
         // Two rows need bit_length(2) = 2 bits of headroom, so with unit 1
         // the largest value's high bit may sit at 2^124: 124 + 1 + 2 = 127.
-        let at_limit = [1.0, pow2(124)];
-        let fits = SumLane::Fixed {
-            shift: 0,
-            bits: FIXED_LANE_BITS,
-        };
-        assert_eq!(SumLane::of_f64(&at_limit), fits);
+        assert_eq!(SumLane::of_f64(&[1.0, pow2(124)]), fixed(0));
         // One bit past: the high bit moves to 2^125.
-        let past = [1.0, pow2(125)];
-        assert_eq!(SumLane::of_f64(&past), SumLane::General);
-        // The same span, shifted, is judged by its width, not position.
-        let at_limit_scaled = [pow2(-60), pow2(64)];
         assert_eq!(
-            SumLane::of_f64(&at_limit_scaled),
-            SumLane::Fixed {
-                shift: -60,
-                bits: FIXED_LANE_BITS
+            SumLane::of_f64(&[1.0, pow2(125)]),
+            SumLane::General {
+                low: 0,
+                bits: FIXED_LANE_BITS + 1
             }
         );
-        assert_eq!(SumLane::of_f64(&[pow2(-60), pow2(65)]), SumLane::General);
+        // The same span, shifted, is judged by its width, not position.
+        assert_eq!(SumLane::of_f64(&[pow2(-60), pow2(64)]), fixed(-60));
+        assert_eq!(
+            SumLane::of_f64(&[pow2(-60), pow2(65)]),
+            SumLane::General {
+                low: -60,
+                bits: FIXED_LANE_BITS + 1
+            }
+        );
         // A third row keeps bit_length(rows) at 2 (3 = 0b11); a fourth
         // raises it to 3 and pushes the same span over.
-        assert_eq!(SumLane::of_f64(&[1.0, pow2(124), 0.0]), fits);
-        assert_eq!(
+        assert_eq!(SumLane::of_f64(&[1.0, pow2(124), 0.0]), fixed(0));
+        assert!(matches!(
             SumLane::of_f64(&[1.0, pow2(124), 0.0, 0.0]),
-            SumLane::General
-        );
+            SumLane::General { .. }
+        ));
+    }
+
+    #[test]
+    fn the_integer_lane_holds_any_column_sum() {
+        // |i64::MIN as f64| = 2^63, so fewer than 2^63 rows sum below
+        // 2^126 units, and each converted value is inside `to_fixed`'s
+        // range.
+        let SumLane::Fixed { shift } = SumLane::INT else {
+            panic!("integers take the fixed lane")
+        };
+        assert_eq!(shift, 0);
+        assert_eq!(to_fixed(i64::MIN as f64, 1.0), -(1i128 << 63));
+        assert_eq!(to_fixed(i64::MAX as f64, 1.0), 1i128 << 63);
     }
 
     #[test]
@@ -246,11 +248,8 @@ mod tests {
         // two far below 2^0, as in the TPC-DS-shaped generator.
         let vals: Vec<f64> = (0..1000).map(|i| (i as f64) * 0.01 - 3.7).collect();
         match SumLane::of_f64(&vals) {
-            SumLane::Fixed { shift, bits } => {
-                assert!(shift < -50, "shift {shift}");
-                assert!(bits > 63, "needs the i128 lane, bits {bits}");
-            }
-            SumLane::General => panic!("cents should fit the fixed lane"),
+            SumLane::Fixed { shift } => assert!(shift < -50, "shift {shift}"),
+            lane => panic!("cents should fit the fixed lane, got {lane:?}"),
         }
     }
 
@@ -261,6 +260,11 @@ mod tests {
             (-5.0, 0, -5),
             (0.75, -2, 3),
             (-0.0, 0, 0),
+            // Either side of the direct conversion's 2^63 edge.
+            (pow2(63) - 1024.0, 0, (1i128 << 63) - 1024),
+            (-(pow2(63) - 1024.0), 0, -((1i128 << 63) - 1024)),
+            (pow2(63), 0, 1i128 << 63),
+            (-pow2(63), 0, -(1i128 << 63)),
             // Both halves of the split in play, with either sign.
             (pow2(100) + pow2(60), 0, (1i128 << 100) + (1 << 60)),
             (-(pow2(100) + pow2(60)), 0, -((1i128 << 100) + (1 << 60))),

@@ -224,15 +224,15 @@ impl TableBuilder {
         self.rows
     }
 
-    /// Finalize into an immutable [`Table`], certifying each numeric
-    /// column's sum lane.
+    /// Finalize into an immutable [`Table`], certifying each float
+    /// column's sum lane (integer columns take [`SumLane::INT`] unread).
     pub fn finish(self) -> Table {
         let sum_lanes = self
             .columns
             .iter()
             .map(|c| match c {
                 Column::Float(v) => Some(SumLane::of_f64(v)),
-                Column::Int(v) => Some(SumLane::of_i64(v)),
+                Column::Int(_) => Some(SumLane::INT),
                 Column::Str(_) | Column::Bool(_) => None,
             })
             .collect();
@@ -346,9 +346,9 @@ mod tests {
                 .unwrap();
         }
         let t = b.finish();
-        assert_eq!(t.sum_lane(0), Some(SumLane::Fixed { shift: 0, bits: 4 }));
+        assert_eq!(t.sum_lane(0), Some(SumLane::INT));
         assert_eq!(t.sum_lane(1), None);
-        assert_eq!(t.sum_lane(2), Some(SumLane::Fixed { shift: -2, bits: 7 }));
+        assert_eq!(t.sum_lane(2), Some(SumLane::Fixed { shift: -2 }));
         assert_eq!(t.sum_lane(3), None);
     }
 
